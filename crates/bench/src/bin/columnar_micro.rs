@@ -1,15 +1,12 @@
-//! Columnar transport microbenchmark: rows/s across three queue paths.
+//! Columnar transport microbenchmark: rows/s across two queue paths.
 //!
-//! All three paths move the same logical records (http_get-shaped
+//! Both paths move the same logical records (http_get-shaped
 //! tuples) through a [`QueueCluster`], including encode and decode —
 //! the full monitor→queue→spout seam:
 //!
 //! * **per-message** — one row tuple per frame via
 //!   [`QueueCluster::produce_to`] / [`QueueCluster::consume_batch`]:
 //!   every record pays a heap tuple, a frame, and a partition lock.
-//! * **row batch** — 128 tuples per [`TupleBatch`] frame: the lock and
-//!   framing amortize, but rows are still built and decoded one heap
-//!   tuple at a time.
 //! * **columnar** — 128 rows per [`ColumnBatch`] built natively with a
 //!   [`BatchBuilder`] and moved via [`QueueCluster::produce_columns`] /
 //!   [`QueueCluster::consume_columns`]: interned field ids, typed
@@ -28,9 +25,9 @@ use netalytics_queue::{QueueCluster, QueueConfig};
 
 /// Rows moved through the queue per measured round.
 const TOTAL: usize = 1 << 17;
-/// Rows per frame on the batched paths.
+/// Rows per frame on the columnar path.
 const BATCH: usize = 128;
-/// Frames drained per consume call on the batched paths.
+/// Frames drained per consume call on the columnar path.
 const DRAIN: usize = 16;
 /// Measured rounds per path; the best round is reported.
 const ROUNDS: usize = 3;
@@ -68,32 +65,6 @@ fn per_message_round(total: usize) -> f64 {
     while rows < total {
         msgs.clear();
         let n = q.consume_batch(group, topic, 1, &mut msgs);
-        assert!(n > 0, "queue drained early");
-        for m in msgs.drain(..) {
-            let mut payload = m.payload;
-            rows += TupleBatch::decode(&mut payload).expect("row frame").len();
-        }
-    }
-    total as f64 / start.elapsed().as_secs_f64()
-}
-
-/// 128 row tuples per frame — the batch path without columns.
-fn row_batch_round(total: usize, batch: usize) -> f64 {
-    let q = cluster(total);
-    let topic = q.topic_id("http_get");
-    let group = q.group_id("storm");
-    let start = Instant::now();
-    let mut next = 0u64;
-    while (next as usize) < total {
-        let tuples: Vec<DataTuple> = (0..batch as u64).map(|j| sample(next + j)).collect();
-        q.produce_to(topic, next, TupleBatch::from_tuples(tuples).encode(), next);
-        next += batch as u64;
-    }
-    let mut msgs = Vec::with_capacity(DRAIN);
-    let mut rows = 0usize;
-    while rows < total {
-        msgs.clear();
-        let n = q.consume_batch(group, topic, DRAIN, &mut msgs);
         assert!(n > 0, "queue drained early");
         for m in msgs.drain(..) {
             let mut payload = m.payload;
@@ -148,7 +119,6 @@ fn main() {
     let (total, rounds) = if quick { (1 << 14, 1) } else { (TOTAL, ROUNDS) };
 
     let per_msg = best(rounds, || per_message_round(total));
-    let row_batch = best(rounds, || row_batch_round(total, BATCH));
     let columnar = best(rounds, || columnar_round(total, BATCH));
 
     let mut report = String::new();
@@ -166,21 +136,10 @@ fn main() {
     let _ = writeln!(
         report,
         "{:>38} {:>14.0}",
-        format!("row batch x{BATCH} (TupleBatch frame)"),
-        row_batch
-    );
-    let _ = writeln!(
-        report,
-        "{:>38} {:>14.0}",
         format!("columnar x{BATCH} (ColumnBatch frame)"),
         columnar
     );
     let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "row-batch speedup over per-message: {:.2}x",
-        row_batch / per_msg
-    );
     let _ = writeln!(
         report,
         "columnar speedup over per-message:  {:.2}x",

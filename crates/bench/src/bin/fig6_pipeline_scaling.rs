@@ -5,23 +5,30 @@
 //! brokers and Storm workers", growing from ~1.2 Gbps at 4 processes to
 //! ~4.2 Gbps at 16 (broker:worker ratio 1:2).
 //!
-//! Here each configuration runs the real threaded stack — monitor
-//! pipeline → queue cluster → threaded top-k executor — for a fixed
-//! duration, and reports the sustained end-to-end input rate. The whole
-//! path is batch-first: parser workers ship
-//! [`TupleBatch`](netalytics_data::TupleBatch)es straight into the
-//! queue through a [`QueueWriter`] sink (no relay threads), and
-//! the executor's spout pulls them back out with batched consumes.
+//! Here each configuration runs the real threaded lane — columnar
+//! monitor pipeline → queue cluster → sharded top-k executor — for a
+//! fixed duration, and reports the sustained end-to-end input rate. The
+//! "Storm workers" axis is the sharded engine's shard count. The whole
+//! path is batch-first: parser workers ship sealed
+//! [`ColumnBatch`](netalytics_data::ColumnBatch)es straight into the
+//! queue through a [`QueueWriter`] sink (no relay threads), and one
+//! driver thread per configuration runs [`drive`]: batched consumes →
+//! `offer` → `tick`.
 //!
 //! Run with: `cargo run --release -p netalytics-bench --bin fig6_pipeline_scaling`
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use netalytics_bench::http_get_stream;
+use netalytics_data::{DataTuple, TupleBatch};
 use netalytics_monitor::{Pipeline, PipelineConfig, SampleSpec};
 use netalytics_queue::{QueueCluster, QueueConfig, QueueWriter};
-use netalytics_stream::{topologies, ProcessorSpec, QueueSpout, ThreadedConfig, ThreadedExecutor};
+use netalytics_stream::spout::drive;
+use netalytics_stream::{
+    build_executor_with, topologies, ExecutorMode, ProcessorSpec, QueueSpout, ShardedConfig, Spout,
+};
 use netalytics_telemetry::{HistogramSnapshot, MetricsRegistry};
 
 fn wall_ns() -> u64 {
@@ -29,6 +36,27 @@ fn wall_ns() -> u64 {
         .duration_since(UNIX_EPOCH)
         .unwrap_or_default()
         .as_nanos() as u64
+}
+
+/// A [`QueueSpout`] that goes quiet once the run is over: whatever
+/// backlog a saturated queue still holds is abandoned, not drained — the
+/// analytics-side twin of the pipelines' `shutdown(true)`.
+struct UntilStopped {
+    inner: QueueSpout,
+    stop: Arc<AtomicBool>,
+}
+
+impl Spout for UntilStopped {
+    fn poll(&mut self, max: usize) -> Vec<DataTuple> {
+        self.poll_batch(max).into_tuples()
+    }
+
+    fn poll_batch(&mut self, max: usize) -> TupleBatch {
+        if self.stop.load(Ordering::Relaxed) {
+            return TupleBatch::new();
+        }
+        self.inner.poll_batch(max)
+    }
 }
 
 /// One Fig. 6 configuration: process counts per layer.
@@ -47,7 +75,7 @@ impl Config {
 fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
     // One self-telemetry registry per configuration: the monitor
     // pipelines, the queue and the executor all publish into it, and the
-    // spout's capture-to-analytics histogram gives the latency columns.
+    // executor's capture-to-analytics histogram gives the latency columns.
     let metrics = Arc::new(MetricsRegistry::new());
     let cluster = Arc::new(QueueCluster::new(QueueConfig {
         brokers: cfg.brokers,
@@ -56,7 +84,11 @@ fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
         replication: 1,
     }));
     cluster.set_registry(metrics.clone());
-    // Analytics: top-k with `workers` parallel instances per stage.
+    let stop = Arc::new(AtomicBool::new(false));
+    // Analytics: top-k with `workers` parallel instances per stage on
+    // `workers` shards. The executor is built on the driver thread
+    // (`dyn Executor` is not `Send`) and ticks on the capture-time
+    // watermark.
     let topo = topologies::build(
         &ProcessorSpec::new("top-k")
             .with_arg("k", "10")
@@ -64,16 +96,22 @@ fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
             .with_arg("par", cfg.workers.to_string()),
     )
     .expect("catalog topology");
-    let spout = QueueSpout::new(cluster.clone(), "http_get", "storm");
-    let exec = ThreadedExecutor::spawn_with_metrics(
-        &topo,
-        Box::new(spout),
-        ThreadedConfig {
-            tick_interval: Duration::from_millis(200),
-            ..Default::default()
-        },
-        Some(&metrics),
-    );
+    let analytics = {
+        let mut spout = UntilStopped {
+            inner: QueueSpout::new(cluster.clone(), "http_get", "storm"),
+            stop: stop.clone(),
+        };
+        let (metrics, stop, shards) = (metrics.clone(), stop.clone(), cfg.workers);
+        std::thread::spawn(move || {
+            let mode = ExecutorMode::Sharded(ShardedConfig {
+                shards,
+                ..Default::default()
+            });
+            let mut exec = build_executor_with(&topo, mode, Some(&metrics));
+            drive(&mut spout, exec.as_mut(), 64, &stop);
+            exec.stop(wall_ns());
+        })
+    };
 
     // Monitors: threaded pipelines whose output interface ships batches
     // straight into the queue (parser worker → QueueWriter → partition),
@@ -89,6 +127,7 @@ fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
                     sample: SampleSpec::All,
                     batch_size: 256,
                     metrics: Some(metrics.clone()),
+                    columnar: true,
                     ..Default::default()
                 },
                 writer.clone(),
@@ -96,8 +135,6 @@ fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
             .expect("pipeline"),
         );
     }
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-
     // Drive each pipeline from its own generator thread (the paper's
     // PktGen role); blocking offers self-pace to pipeline capacity.
     let offered = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -110,21 +147,21 @@ fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
         let tx = p.clone_input();
         drivers.push(std::thread::spawn(move || {
             let mut i = 0usize;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                // Stamp the capture time so the spout-side histogram can
-                // measure true capture-to-analytics latency.
+            while !stop.load(Ordering::Relaxed) {
+                // Stamp the capture time so the executor-side histogram
+                // can measure true capture-to-analytics latency.
                 let pkt = input_stream[i % input_stream.len()].at_time(wall_ns());
                 let len = pkt.len() as u64;
                 if tx.send(pkt).is_err() {
                     break;
                 }
-                offered.fetch_add(len, std::sync::atomic::Ordering::Relaxed);
+                offered.fetch_add(len, Ordering::Relaxed);
                 i += 1;
             }
         }));
     }
     std::thread::sleep(Duration::from_secs_f64(secs));
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, Ordering::Relaxed);
     let elapsed = start.elapsed().as_secs_f64();
     for d in drivers {
         let _ = d.join();
@@ -132,9 +169,9 @@ fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
     for p in pipelines {
         let _ = p.shutdown(true);
     }
-    let _ = exec.shutdown();
+    analytics.join().expect("analytics driver");
     let e2e = metrics.snapshot().histogram_merged("e2e.tuple_latency_ns");
-    let mbps = offered.load(std::sync::atomic::Ordering::Relaxed) as f64 * 8.0 / elapsed / 1e6;
+    let mbps = offered.load(Ordering::Relaxed) as f64 * 8.0 / elapsed / 1e6;
     (mbps, e2e)
 }
 
@@ -173,6 +210,7 @@ fn main() {
     ];
     println!("Fig. 6 — end-to-end sustained input rate vs NetAlytics processes");
     println!("(broker:worker ratio 1:2, as in the paper; {secs:.0}s per point)");
+    println!("engine: columnar pipeline -> QueueWriter -> Sharded executor, shards = workers");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -201,7 +239,7 @@ fn main() {
         );
     }
     println!("\nLatency columns: capture-to-analytics (packet stamped at the");
-    println!("generator, recorded when the Storm spout pulls the tuple out of");
+    println!("generator, recorded when the driver offers the tuple pulled out of");
     println!("the queue), from the self-telemetry e2e.tuple_latency_ns histogram.");
     println!("\nShape check (paper): rate grows roughly linearly with process");
     println!("count (1154 -> 4150 Mbps over 4 -> 16 processes on their testbed).");

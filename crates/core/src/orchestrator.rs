@@ -824,20 +824,6 @@ impl Orchestrator {
         self.result_store.as_ref()
     }
 
-    /// The durable history of a query (by its cookie) from the attached
-    /// results store: every committed output tuple still inside
-    /// retention, across all group series, as a [`ResultSet`]. `None`
-    /// when no store is attached or the store could not be read.
-    ///
-    /// Unlike the in-memory `ResultSet` returned by
-    /// [`Orchestrator::kill`], this survives aggregator failover, query
-    /// teardown and — with an on-disk store — process restarts.
-    #[deprecated(since = "0.9.0", note = "use `QueryHandle::history()` instead")]
-    pub fn query_history(&self, cookie: u64) -> Option<ResultSet> {
-        let store = self.result_store.as_ref()?;
-        store.query_history(cookie).ok().map(ResultSet::new)
-    }
-
     /// Scrapes the layers that export on demand (the netsim engine's
     /// fabric counters) and returns a point-in-time snapshot of every
     /// metric in the registry — monitor, queue (aggregator), stream and
@@ -1872,13 +1858,16 @@ impl Orchestrator {
         if let Some(ctl) = self.engine.controller_mut() {
             ctl.remove_cookie(q.cookie);
         }
+        // Undeploy the NFs and free their hosts for subsequent queries.
+        // Dropping the apps with their pending timers ends the tick
+        // chains: left armed, the aggregator's re-arms forever and fires
+        // on whichever query's app lands on the host next.
         for s in &q.monitors {
             s.handle.borrow_mut().stopped = true;
-        }
-        // Free the hosts for subsequent queries.
-        for s in &q.monitors {
+            self.engine.clear_app(s.host);
             self.used_hosts.remove(&s.host);
         }
+        self.engine.clear_app(q.aggregator_host);
         self.used_hosts.remove(&q.aggregator_host);
         let results = q
             .executors
@@ -1925,12 +1914,6 @@ impl Orchestrator {
     /// [`OrchestratorBuilder::tenant`]).
     pub fn register_tenant(&mut self, tenant: Tenant) {
         self.admission.register(tenant);
-    }
-
-    /// Tears a query down and returns the report.
-    #[deprecated(since = "0.9.0", note = "use `Orchestrator::kill(&handle)` instead")]
-    pub fn finalize(&mut self, q: QueryHandle) -> QueryReport {
-        self.kill(&q).expect("finalize called on a killed query")
     }
 
     /// Convenience: submit, run until the query's own deadline (or for
@@ -2079,6 +2062,39 @@ mod tests {
         assert_eq!(orch.heartbeat_interval(), SimDuration::from_millis(5));
         assert_eq!(orch.failure_policy().miss_threshold, 2);
         assert!(!orch.failure_policy().degrade_on_overload);
+    }
+
+    #[test]
+    fn kill_undeploys_the_query_so_tick_work_does_not_pile_up() {
+        let mut orch = Orchestrator::builder(4).build();
+        orch.name_host("web", 1);
+        let step = SimDuration::from_millis(50);
+        // Engine events per submit → run → kill → idle cycle. No
+        // workload runs, so every event is NF tick work (plus the few
+        // packets still in flight at the kill).
+        let mut per_cycle = Vec::new();
+        for _ in 0..50 {
+            let before = orch.engine().stats().events;
+            let q = orch
+                .submit("PARSE http_get FROM * TO web:80 LIMIT 10s SAMPLE * PROCESS (group-sum)")
+                .expect("submit");
+            orch.run_until(orch.now() + step);
+            orch.kill(&q).expect("running query");
+            orch.run_until(orch.now() + step);
+            per_cycle.push(orch.engine().stats().events - before);
+        }
+        let settled = orch.engine().stats().events;
+        orch.run_until(orch.now() + step);
+        assert_eq!(
+            orch.engine().stats().events,
+            settled,
+            "killed queries leave nothing ticking"
+        );
+        assert!(per_cycle[4] > 0, "a live query does tick");
+        assert_eq!(
+            per_cycle[4], per_cycle[49],
+            "cycle 50 costs what cycle 5 did: {per_cycle:?}"
+        );
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! The wire format ships a per-batch name dictionary and re-interns on
 //! decode, so frames are portable across processes.
 //!
-//! Frames open with a magic word `>= 0xFFFF_0000`. A legacy
+//! Frames open with a magic word `>= 0xFFFF_0000`. The row codec's
 //! [`TupleBatch::decode`] reads that as an absurd tuple count and
-//! rejects the frame, while [`ColumnBatch::is_columnar_frame`] detects
-//! it in O(1) — consumers on mixed topics dispatch on the first four
-//! bytes.
+//! rejects the frame, and [`ColumnBatch::decode`] rejects anything that
+//! does not open with it — the two framings cannot be mistaken for one
+//! another. Only column frames cross the queue.
 //!
 //! [`Schema`]: crate::Schema
 
@@ -35,8 +35,8 @@ use crate::tuple::{DataTuple, TraceCtx, TupleBatch};
 use crate::value::Value;
 
 /// First four wire bytes of a columnar frame (little-endian). Any value
-/// `>= 0xFFFF_0000` is unreachable as a legacy batch tuple count, which
-/// is what makes the two framings distinguishable.
+/// `>= 0xFFFF_0000` is unreachable as a row-codec batch tuple count,
+/// which is what makes the two framings distinguishable.
 pub const COLUMNAR_MAGIC: u32 = 0xFFFF_C01A;
 const COLUMNAR_VERSION: u8 = 2;
 
@@ -408,12 +408,6 @@ impl ColumnBatch {
         let mut out = TupleBatch::from_tuples(tuples);
         out.trace = self.trace;
         out
-    }
-
-    /// True if `buf` starts with a columnar frame (vs a legacy row
-    /// batch). O(1): peeks the four-byte magic.
-    pub fn is_columnar_frame(buf: &[u8]) -> bool {
-        buf.len() >= 4 && u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) == COLUMNAR_MAGIC
     }
 
     /// Approximate encoded size in bytes, used for traffic accounting.
@@ -1212,7 +1206,7 @@ mod tests {
         let batch = sample_batch();
         let cols = ColumnBatch::from_batch(&batch);
         let mut frame = cols.encode();
-        assert!(ColumnBatch::is_columnar_frame(&frame));
+        assert_eq!(frame[..4], COLUMNAR_MAGIC.to_le_bytes());
         let back = ColumnBatch::decode(&mut frame).unwrap();
         assert!(frame.is_empty(), "decode consumes the whole frame");
         assert_eq!(back.to_batch(), batch);
@@ -1230,7 +1224,6 @@ mod tests {
         assert_eq!(cols.trace(), batch.trace, "from_batch carries the context");
         assert_eq!(cols.to_batch(), batch, "to_batch restores it");
         let mut frame = cols.encode();
-        assert!(ColumnBatch::is_columnar_frame(&frame));
         let back = ColumnBatch::decode(&mut frame).unwrap();
         assert_eq!(back.trace(), batch.trace, "wire roundtrip preserves it");
         assert_eq!(back.to_batch(), batch);

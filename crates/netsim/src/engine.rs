@@ -470,18 +470,25 @@ impl Engine {
             return 0;
         }
         self.host_up[h as usize] = false;
-        self.apps[h as usize] = None;
         self.stats.faults += 1;
-        // Purge the host's pending timers so a future tenant of the
-        // repaired host cannot receive a dead app's tokens.
+        self.clear_app(h);
+        // Invalidate data-plane rules that mirror toward the dead host;
+        // the controller's desired state is the reconciler's business.
+        self.tables.iter_mut().map(|t| t.remove_mirrors_to(h)).sum()
+    }
+
+    /// Undeploys whatever runs on host `h` without failing the host: the
+    /// application is dropped and its pending timers are purged, so a
+    /// later tenant of the host cannot receive the old app's tokens (and
+    /// a self-re-arming tick chain ends here). Switch tables are left
+    /// alone.
+    pub fn clear_app(&mut self, h: HostIdx) {
+        self.apps[h as usize] = None;
         let drained = std::mem::take(&mut self.queue);
         self.queue = drained
             .into_iter()
             .filter(|Reverse(q)| !matches!(q.kind, EventKind::Timer { host, .. } if host == h))
             .collect();
-        // Invalidate data-plane rules that mirror toward the dead host;
-        // the controller's desired state is the reconciler's business.
-        self.tables.iter_mut().map(|t| t.remove_mirrors_to(h)).sum()
     }
 
     /// Removes every switch-table rule mirroring toward `host` (without
@@ -1160,6 +1167,17 @@ mod tests {
         e.fail_host(0);
         e.run_until(SimTime::from_nanos(10_000_000));
         assert_eq!(*ticks.borrow(), 3, "no ticks after host death");
+
+        // Undeploying without a fault purges the chain too, and the next
+        // tenant of the live host starts exactly one chain of its own.
+        e.set_app(1, Box::new(Ticker(ticks.clone())));
+        e.run_until(SimTime::from_nanos(12_500_000));
+        assert_eq!(*ticks.borrow(), 5);
+        e.clear_app(1);
+        assert!(e.host_is_up(1));
+        e.set_app(1, Box::new(Ticker(ticks.clone())));
+        e.run_until(SimTime::from_nanos(14_600_000));
+        assert_eq!(*ticks.borrow(), 7, "one chain, not the old one plus a new");
     }
 }
 

@@ -1,9 +1,10 @@
 //! The broker cluster: partitioned topics, keyed produce, consumer groups.
 //!
-//! Hot paths are batch-first: producers hand whole slabs of messages to
-//! [`QueueCluster::produce_batch`] and consumers drain with
+//! Hot paths are batch-first: a producer appends one sealed column frame
+//! per [`QueueCluster::produce_columns`] call and consumers drain with
 //! [`QueueCluster::consume_batch`], so partition locks and offset
-//! bookkeeping are paid once per batch instead of once per message. Topic
+//! bookkeeping are paid once per batch instead of once per tuple. Column
+//! frames are the only tuple framing on the queue. Topic
 //! and group names are interned into [`TopicId`] / [`GroupId`] indices up
 //! front; steady-state calls never hash or allocate a `String`.
 
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use netalytics_data::{ColumnBatch, TupleBatch};
+use netalytics_data::ColumnBatch;
 use netalytics_telemetry::{wall_now_ns, EventKind, Gauge, Histogram, Journal, MetricsRegistry};
 
 use crate::log::{Message, PartitionLog, Pressure};
@@ -574,51 +575,13 @@ impl QueueCluster {
         Ok(offset)
     }
 
-    /// Produces a whole batch of `(key, payload, ts_ns)` messages,
-    /// grouping them by destination partition first so each partition
-    /// lock is taken at most once per call. Returns the number appended.
-    pub fn produce_batch(
-        &self,
-        topic: TopicId,
-        items: impl IntoIterator<Item = (u64, Bytes, u64)>,
-    ) -> usize {
-        let t = self.topic(topic);
-        let nparts = t.partitions.len();
-        let mut buckets: Vec<Vec<(u64, Bytes, u64)>> = vec![Vec::new(); nparts];
-        for (key, payload, ts_ns) in items {
-            buckets[(key % nparts as u64) as usize].push((key, payload, ts_ns));
-        }
-        let mut total = 0;
-        for (p, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            if self.leader_of(&t.name, p).is_none() {
-                self.failure_drops
-                    .fetch_add(bucket.len() as u64, Ordering::Relaxed);
-                continue;
-            }
-            let mut log = t.partitions[p].lock(); // per-batch lock
-            for (key, payload, ts_ns) in bucket {
-                log.append(key, payload, ts_ns);
-                total += 1;
-            }
-        }
-        if let Some(tel) = self.telemetry_of(topic) {
-            tel.produce_batch.record(total as u64);
-        }
-        total
-    }
-
     /// Produces one sealed columnar batch as a single message: the frame
     /// is encoded once, the destination partition's lock is taken once,
-    /// and payload bytes are accounted once by the log append. This is
-    /// the fast lane — where [`QueueCluster::produce_batch`] pays one
-    /// append per tuple, this pays one per *batch*. Returns the offset.
+    /// and payload bytes are accounted once by the log append — one
+    /// append per *batch*, not per tuple. Returns the offset.
     ///
     /// Rows (not frames) are recorded in the topic's
-    /// `queue.produce_batch_size` histogram, so batch-size telemetry
-    /// stays comparable across the row and columnar paths.
+    /// `queue.produce_batch_size` histogram.
     ///
     /// # Errors
     ///
@@ -641,10 +604,8 @@ impl QueueCluster {
     }
 
     /// Drains up to `max_frames` messages, decoding each payload into a
-    /// [`ColumnBatch`]. Legacy row-encoded frames on the same topic are
-    /// transparently converted (the magic word distinguishes the two
-    /// framings), so mixed producers are safe during migration; frames
-    /// that decode as neither are dropped. Returns total rows appended.
+    /// [`ColumnBatch`]; payloads that are not column frames are dropped.
+    /// Returns total rows appended.
     pub fn consume_columns(
         &self,
         group: GroupId,
@@ -657,14 +618,7 @@ impl QueueCluster {
         let mut rows = 0;
         for m in msgs {
             let mut payload = m.payload;
-            let cols = if ColumnBatch::is_columnar_frame(&payload) {
-                ColumnBatch::decode(&mut payload).ok()
-            } else {
-                TupleBatch::decode(&mut payload)
-                    .ok()
-                    .map(|b| ColumnBatch::from_batch(&b))
-            };
-            if let Some(cols) = cols {
+            if let Ok(cols) = ColumnBatch::decode(&mut payload) {
                 rows += cols.rows();
                 out.push(cols);
             }
@@ -956,7 +910,7 @@ mod tests {
 
     #[test]
     fn columnar_frames_roundtrip_through_the_queue() {
-        use netalytics_data::DataTuple;
+        use netalytics_data::{DataTuple, TupleBatch};
         let q = QueueCluster::new(QueueConfig::default());
         let (g, t) = (q.group_id("storm"), q.topic_id("http_get"));
         let batch: TupleBatch = (0..40u64)
@@ -969,13 +923,12 @@ mod tests {
             .collect();
         let cols = ColumnBatch::from_batch(&batch);
         q.produce_columns(t, 7, &cols, 1).unwrap();
-        // A legacy row frame on the same topic is converted transparently.
+        // Column frames are the only framing: a row frame is dropped.
         q.produce_to(t, 8, batch.encode(), 2);
         let mut out = Vec::new();
-        assert_eq!(q.consume_columns(g, t, 10, &mut out), 80);
-        assert_eq!(out.len(), 2);
+        assert_eq!(q.consume_columns(g, t, 10, &mut out), 40);
+        assert_eq!(out.len(), 1);
         assert_eq!(out[0].to_batch(), batch);
-        assert_eq!(out[1].to_batch(), batch);
         assert_eq!(q.consume_columns(g, t, 10, &mut out), 0, "offsets advance");
     }
 
@@ -988,7 +941,7 @@ mod tests {
             replication: 1,
         });
         let t = q.topic_id("t");
-        let cols = ColumnBatch::from_batch(&TupleBatch::new());
+        let cols = ColumnBatch::from_batch(&netalytics_data::TupleBatch::new());
         q.fail_broker(0);
         assert!(matches!(
             q.produce_columns(t, 0, &cols, 0),
@@ -996,32 +949,6 @@ mod tests {
         ));
         q.restore_broker(0);
         assert!(q.produce_columns(t, 0, &cols, 0).is_ok());
-    }
-
-    #[test]
-    fn produce_batch_matches_per_message_semantics() {
-        let per_msg = QueueCluster::new(QueueConfig::default());
-        let batched = QueueCluster::new(QueueConfig::default());
-        let items: Vec<(u64, Bytes, u64)> = (0..64u64)
-            .map(|i| (i, Bytes::from(vec![i as u8]), i))
-            .collect();
-        let tp = per_msg.topic_id("t");
-        for (k, p, ts) in items.clone() {
-            per_msg.produce_to(tp, k, p, ts);
-        }
-        let t = batched.topic_id("t");
-        assert_eq!(batched.produce_batch(t, items), 64);
-        let mut a = Vec::new();
-        per_msg.consume_batch(per_msg.group_id("g"), tp, 1000, &mut a);
-        let mut b = Vec::new();
-        batched.consume_batch(batched.group_id("g"), t, 1000, &mut b);
-        assert_eq!(a.len(), b.len());
-        // Same per-partition ordering: compare (key, payload) multisets per
-        // consume order, which is deterministic given identical state.
-        let pa: Vec<_> = a.iter().map(|m| (m.key, m.payload.clone())).collect();
-        let pb: Vec<_> = b.iter().map(|m| (m.key, m.payload.clone())).collect();
-        assert_eq!(pa, pb);
-        assert_eq!(batched.depth_of(t), 64);
     }
 
     #[test]
@@ -1063,11 +990,15 @@ mod tests {
         let metrics = Arc::new(MetricsRegistry::new());
         q.set_registry(Arc::clone(&metrics));
         let late = q.topic_id("late");
-        let items: Vec<(u64, Bytes, u64)> = (0..6u64)
-            .map(|i| (i, Bytes::from_static(b"m"), i))
-            .collect();
-        q.produce_batch(early, items.clone());
-        q.produce_batch(late, items);
+        // Six rows per topic, one frame per row so both partitions fill.
+        let row = |i| {
+            let t = netalytics_data::DataTuple::new(i, i);
+            ColumnBatch::from_batch(&std::iter::once(t).collect())
+        };
+        for i in 0..6u64 {
+            q.produce_columns(early, i, &row(i), i).unwrap();
+            q.produce_columns(late, i, &row(i), i).unwrap();
+        }
         let g = q.group_id("g");
         let mut out = Vec::new();
         q.consume_batch(g, late, 100, &mut out);
@@ -1081,8 +1012,8 @@ mod tests {
             }
         }
         let produced = snap.histogram_merged("queue.produce_batch_size");
-        assert_eq!(produced.count(), 2);
-        assert_eq!(produced.sum(), 12);
+        assert_eq!(produced.count(), 12, "one sample per frame");
+        assert_eq!(produced.sum(), 12, "rows, not frames, are recorded");
         match snap.get("queue.lag", &[("group", "g"), ("topic", "late")]) {
             Some(MetricValue::Gauge(lag)) => assert_eq!(*lag, 0),
             other => panic!("queue.lag missing: {other:?}"),
@@ -1227,11 +1158,9 @@ mod tests {
                 partition: 0,
             })
         );
-        // The infallible paths count instead of silently succeeding.
+        // The infallible path counts instead of silently succeeding.
         q.produce_to(t, 0, Bytes::from_static(b"x"), 1);
-        let items = vec![(0u64, Bytes::from_static(b"x"), 2u64)];
-        assert_eq!(q.produce_batch(t, items), 0);
-        assert_eq!(q.lost_to_failure(), 2);
+        assert_eq!(q.lost_to_failure(), 1);
         // Consumers skip the dead partition but keep their offsets.
         let mut out = Vec::new();
         assert_eq!(q.consume_batch(g, t, 10, &mut out), 0);

@@ -1,9 +1,10 @@
 //! [`QueueWriter`]: the monitor-side output interface.
 //!
-//! Parser pipelines ship [`TupleBatch`]es; the writer encodes each batch
-//! once and appends it to an interned topic, spreading successive batches
-//! across partitions round-robin (the paper's monitors likewise write
-//! batches to Kafka, §5.2 "Output Interface"). Because it implements
+//! Parser pipelines ship sealed [`ColumnBatch`]es; the writer encodes each
+//! batch once as a column frame and appends it to an interned topic,
+//! spreading successive batches across partitions round-robin (the
+//! paper's monitors likewise write batches to Kafka, §5.2 "Output
+//! Interface"). Because it implements
 //! [`BatchSink`], the monitor layer needs no queue-specific code and no
 //! intermediate shipper threads.
 //!
@@ -51,7 +52,8 @@ impl RetryPolicy {
     }
 }
 
-/// A [`BatchSink`] that encodes batches into a [`QueueCluster`] topic.
+/// A [`BatchSink`] that encodes batches into a [`QueueCluster`] topic as
+/// column frames — the one framing the queue carries.
 ///
 /// Shareable across producer threads: partition keys come from one atomic
 /// sequence, and the topic id is interned at construction so the hot path
@@ -133,47 +135,22 @@ impl QueueWriter {
 }
 
 impl BatchSink for QueueWriter {
-    /// Ships a batch, retrying with backoff on broker failure.
+    /// Row batches (the pipeline's row lane) are transposed and shipped
+    /// as column frames, trace context included.
+    fn ship(&self, batch: TupleBatch) -> Result<(), SinkClosed> {
+        self.ship_columns(ColumnBatch::from_batch(&batch))
+    }
+
+    /// Ships a sealed columnar batch without ever materializing rows:
+    /// one [`QueueCluster::produce_columns`] call per attempt (one
+    /// partition lock, bytes accounted once), retrying with backoff on
+    /// broker failure.
     ///
     /// Each retry draws a fresh sequence key, steering the batch toward a
     /// different partition whose replicas may still be alive. A batch that
     /// exhausts the policy is counted in
     /// [`QueueWriter::batches_lost`] — bounded, observable loss — and the
     /// sink stays open.
-    fn ship(&self, batch: TupleBatch) -> Result<(), SinkClosed> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let ts_ns = batch.tuples.last().map_or(0, |t| t.ts_ns);
-        let n = batch.len() as u64;
-        let payload = batch.encode();
-        for attempt in 0..self.retry.max_attempts.max(1) {
-            let key = self.seq.fetch_add(1, Ordering::Relaxed);
-            match self
-                .cluster
-                .try_produce_to(self.topic, key, payload.clone(), ts_ns)
-            {
-                Ok(_) => {
-                    self.batches.fetch_add(1, Ordering::Relaxed);
-                    self.tuples.fetch_add(n, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(ProduceError::NoLeader { .. }) => {
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    if attempt + 1 < self.retry.max_attempts {
-                        std::thread::sleep(self.retry.backoff(attempt));
-                    }
-                }
-            }
-        }
-        self.batches_lost.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Ships a sealed columnar batch without ever materializing rows:
-    /// one [`QueueCluster::produce_columns`] call per attempt (one
-    /// partition lock, bytes accounted once), with the same re-keying
-    /// retry loop as [`BatchSink::ship`].
     fn ship_columns(&self, columns: ColumnBatch) -> Result<(), SinkClosed> {
         if columns.is_empty() {
             return Ok(());
@@ -208,14 +185,14 @@ impl BatchSink for QueueWriter {
 mod tests {
     use super::*;
     use crate::cluster::QueueConfig;
-    use netalytics_data::DataTuple;
+    use netalytics_data::{DataTuple, TraceCtx};
 
     fn batch(ids: std::ops::Range<u64>) -> TupleBatch {
         ids.map(|i| DataTuple::new(i, i * 10)).collect()
     }
 
     #[test]
-    fn ship_appends_encoded_batches() {
+    fn ship_appends_column_frames() {
         let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
         let w = QueueWriter::new(Arc::clone(&cluster), "t");
         w.ship(batch(0..3)).unwrap();
@@ -225,16 +202,35 @@ mod tests {
         assert_eq!(w.tuples_shipped(), 5);
         assert_eq!(cluster.depth_of(w.topic()), 2);
         let (g, t) = (cluster.group_id("g"), w.topic());
+        let mut out = Vec::new();
+        assert_eq!(cluster.consume_columns(g, t, 10, &mut out), 5);
+    }
+
+    #[test]
+    fn ship_rows_and_ship_columns_enqueue_identical_payloads() {
+        let cluster = Arc::new(QueueCluster::new(QueueConfig {
+            partitions: 1,
+            ..QueueConfig::default()
+        }));
+        let w = QueueWriter::new(Arc::clone(&cluster), "t");
+        let mut rows: TupleBatch = (0..4u64)
+            .map(|i| DataTuple::new(i, i * 10).with("url", "/x").with("n", i))
+            .collect();
+        rows.trace = Some(TraceCtx {
+            cookie: 9,
+            batch_id: 2,
+            born_ns: 30,
+        });
+        w.ship(rows.clone()).unwrap();
+        w.ship_columns(ColumnBatch::from_batch(&rows)).unwrap();
         let mut msgs = Vec::new();
-        cluster.consume_batch(g, t, 10, &mut msgs);
-        let total: usize = msgs
-            .iter()
-            .map(|m| {
-                let mut b = m.payload.clone();
-                TupleBatch::decode(&mut b).unwrap().len()
-            })
-            .sum();
-        assert_eq!(total, 5);
+        cluster.consume_batch(cluster.group_id("g"), w.topic(), 10, &mut msgs);
+        assert_eq!(msgs.len(), 2);
+        assert_eq!(msgs[0].payload, msgs[1].payload, "one framing either way");
+        assert_eq!(msgs[0].ts_ns, msgs[1].ts_ns);
+        let back = ColumnBatch::decode(&mut msgs[0].payload.clone()).unwrap();
+        assert_eq!(back.trace(), rows.trace, "trace context rides the frame");
+        assert_eq!(back.to_batch(), rows);
     }
 
     #[test]

@@ -374,8 +374,12 @@ impl TimeSeriesStore {
                         Some(Sketch::HeavyHitters(_))
                     )
             );
-            let saw_data = acc.count > 0 || plan.raw_tuples > 0 || acc.sketch.is_some();
-            if !served && saw_data {
+            // Cells fold only numbers and sketch snapshots, so cells that
+            // covered tuples of a plain (e.g. string) field come back
+            // empty: anything the plan touched is data to replay.
+            let touched =
+                plan.raw_tuples + plan.segment_cells + plan.persisted_cells + plan.coarse_cells;
+            if !served && touched > 0 {
                 return self.history_replay(q);
             }
         }
@@ -722,10 +726,31 @@ mod tests {
         assert_eq!(top[0].1, 60);
 
         // Plain values cannot merge as sketches: distinct falls back.
-        let q = HistoryQuery::new(series, "url", 0, u64::MAX, HistoryAgg::Distinct);
+        let q = HistoryQuery::new(series.clone(), "url", 0, u64::MAX, HistoryAgg::Distinct);
         let a = store.history(&q).unwrap();
         assert!(!a.plan.pushdown);
         assert_eq!(a.value, AggValue::Distinct(5));
+
+        // Also on a bucket-aligned range inside sealed segments, where no
+        // raw tuple is scanned and the string field's cells are empty.
+        for agg in [HistoryAgg::Distinct, HistoryAgg::HeavyHitters { k: 2 }] {
+            let q = HistoryQuery::new(series.clone(), "url", 0, 10 * SECOND - 1, agg);
+            let a = store.history(&q).unwrap();
+            assert!(!a.plan.pushdown, "{:?}: {:?}", q.agg, a.plan);
+            assert_ne!(a.value, AggValue::Empty, "{:?}", q.agg);
+            assert_eq!(a.value, store.history_replay(&q).unwrap().value);
+        }
+        // A range holding no data at all still answers without a replay.
+        let q = HistoryQuery::new(
+            series,
+            "url",
+            100 * SECOND,
+            101 * SECOND - 1,
+            HistoryAgg::Distinct,
+        );
+        let a = store.history(&q).unwrap();
+        assert!(a.plan.pushdown);
+        assert_eq!(a.value, AggValue::Empty);
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! The unified executor abstraction over the inline and threaded engines.
+//! The unified executor abstraction over the inline and sharded engines.
 //!
-//! Both engines consume the same batch-first transport: callers offer
-//! [`TupleBatch`]es, the executor routes tuple slabs through the topology
-//! (grouping each batch by destination instance once), and terminal-bolt
-//! emissions come back out through [`Executor::poll_output`]. Code that
-//! drives a topology — the NFV aggregator, the orchestrator, benchmarks,
-//! conformance tests — programs against `dyn Executor` and picks an engine
-//! with [`ExecutorMode`] at construction time.
+//! Two engines, kept for different reasons: [`ExecutorMode::Inline`] is
+//! deterministic (the discrete-event plane replays bit-for-bit under a
+//! virtual clock), [`ExecutorMode::Sharded`] is the wall-clock threaded
+//! lane behind the queue. Both consume the same batch-first transport:
+//! callers offer [`TupleBatch`]es, the executor routes tuple slabs through
+//! the topology (grouping each batch by destination instance once), and
+//! terminal-bolt emissions come back out through
+//! [`Executor::poll_output`]. Code that drives a topology — the NFV
+//! aggregator, the orchestrator, benchmarks, conformance tests — programs
+//! against `dyn Executor` and picks an engine with [`ExecutorMode`] at
+//! construction time.
 
 use std::sync::Arc;
 
@@ -15,10 +19,9 @@ use netalytics_telemetry::{MetricsRegistry, Tracer};
 
 use crate::inline::InlineExecutor;
 use crate::sharded::{ShardedConfig, ShardedExecutor};
-use crate::threaded::{ThreadedConfig, ThreadedExecutor};
 use crate::topology::Topology;
 
-/// What happens when a bounded inter-bolt channel is full (paper §4.2's
+/// What happens when a bounded inter-shard ring is full (paper §4.2's
 /// load-shedding philosophy applied inside the stream processor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
@@ -80,14 +83,11 @@ pub enum ExecutorMode {
     /// `offer` — the discrete-event plane's engine.
     #[default]
     Inline,
-    /// One worker thread per bolt instance with bounded channels — the
-    /// scaling plane's engine. The executor is caller-driven: no spout
-    /// thread is spawned, data arrives via [`Executor::offer`].
-    Threaded(ThreadedConfig),
     /// One worker thread per *shard* owning partition-disjoint bolt
     /// instances (`instance % shards`), exchanging slabs over lock-free
-    /// SPSC rings — the columnar hot path's engine. Caller-driven like
-    /// `Threaded`.
+    /// SPSC rings — the threaded lane's engine. Caller-driven: no spout
+    /// thread is spawned, data arrives via [`Executor::offer`] (see
+    /// [`crate::spout::drive`] for the poll → offer → tick loop).
     Sharded(ShardedConfig),
 }
 
@@ -122,7 +122,7 @@ pub fn build_executor(topology: &Topology, mode: ExecutorMode) -> Box<dyn Execut
 /// [`build_executor`] with an optional metrics registry: the executor's
 /// processed/emitted/shed counters register as `stream.*` series, every
 /// bolt gets a `stream.execute_latency_ns{bolt=...}` histogram, and the
-/// threaded engine additionally records `e2e.tuple_latency_ns` (capture
+/// sharded engine additionally records `e2e.tuple_latency_ns` (capture
 /// timestamp → arrival at the topology, wall clock) for offered tuples.
 pub fn build_executor_with(
     topology: &Topology,
@@ -148,9 +148,6 @@ pub fn build_executor_traced(
         ExecutorMode::Inline => {
             Box::new(InlineExecutor::with_instruments(topology, metrics, tracer))
         }
-        ExecutorMode::Threaded(config) => Box::new(ThreadedExecutor::spawn_driven_traced(
-            topology, config, metrics, tracer,
-        )),
         ExecutorMode::Sharded(config) => Box::new(ShardedExecutor::spawn_traced(
             topology, config, metrics, tracer,
         )),

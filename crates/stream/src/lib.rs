@@ -14,13 +14,13 @@
 //! * [`Executor`] — the unified batch-first engine interface; construct
 //!   one with [`build_executor`] and an [`ExecutorMode`].
 //! * [`InlineExecutor`] — deterministic, for the discrete-event plane.
-//! * [`ThreadedExecutor`] — one thread per bolt instance with bounded
-//!   channels and a [`BackpressurePolicy`], fed by a [`Spout`] (e.g.
-//!   [`QueueSpout`] polling the Kafka-style queue) or driven by
-//!   [`Executor::offer`], for the Fig. 6 scaling experiments.
-//! * [`ShardedExecutor`] — one thread per shard owning
-//!   partition-disjoint bolt instances, exchanging tuple slabs over
-//!   lock-free SPSC rings; the columnar hot path's engine.
+//! * [`ShardedExecutor`] — the threaded lane: one thread per shard
+//!   owning partition-disjoint bolt instances, exchanging tuple slabs
+//!   over lock-free SPSC rings under a [`BackpressurePolicy`]; `shards`
+//!   is the Fig. 6 "Storm workers" axis.
+//! * [`QueueSpout`] — decodes column frames off the Kafka-style queue;
+//!   [`spout::drive`] is the poll → offer → tick loop that carries them
+//!   into an executor.
 //!
 //! # Examples
 //!
@@ -48,7 +48,6 @@ pub mod executor;
 pub mod inline;
 pub mod sharded;
 pub mod spout;
-pub mod threaded;
 pub mod topologies;
 pub mod topology;
 
@@ -60,7 +59,6 @@ pub use executor::{
 };
 pub use inline::InlineExecutor;
 pub use sharded::{ShardedConfig, ShardedExecutor};
-pub use spout::{QueueSpout, Spout, VecSpout};
-pub use threaded::{ThreadedConfig, ThreadedExecutor};
+pub use spout::{QueueSpout, Spout};
 pub use topologies::{CatalogError, ProcessorSpec, CATALOG};
 pub use topology::{BoltId, SourceRef, Topology, TopologyBuilder, TopologyError};

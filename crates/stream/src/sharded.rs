@@ -1,10 +1,9 @@
 //! Sharded executor: partition-disjoint bolt chains pinned to worker
 //! threads, exchanging tuple slabs over lock-free SPSC rings.
 //!
-//! Where the threaded engine spawns one thread per bolt *instance* and
-//! moves slabs over mutex-backed channels, this engine spawns one thread
-//! per *shard* and gives shard `w` ownership of instance `i` of every
-//! node where `i % shards == w`. A tuple chain that stays on one shard
+//! The engine spawns one thread per *shard* — not per bolt instance —
+//! and gives shard `w` ownership of instance `i` of every node where
+//! `i % shards == w`. A tuple chain that stays on one shard
 //! (the common case for `ById`/`Fields` groupings whose hash lands on
 //! the same residue at every stage) runs bolt-to-bolt as plain function
 //! calls with zero synchronization; tuples that hop shards travel over
@@ -18,13 +17,11 @@
 //!   queue that is re-flushed opportunistically, so the mesh cannot
 //!   deadlock no matter the topology shape.
 //! * Ticks ride the main rings as messages, keeping them FIFO with data
-//!   exactly like the threaded engine's channel ticks (and equally
-//!   best-effort: a full ring drops the tick, not data).
+//!   (and best-effort: a full ring drops the tick, not data).
 //! * Shutdown is a marker protocol: `Marker(0)` quiesces, then each
 //!   worker finishes node `t` only after every peer advertised
 //!   `Marker(t)` — i.e. finished node `t - 1` and flushed its
-//!   emissions — so windows close upstream-first across all shards,
-//!   mirroring the threaded engine's tiered join.
+//!   emissions — so windows close upstream-first across all shards.
 //!
 //! Counters: `processed` stays a plain [`Counter`] (single writer — the
 //! offering thread); `emitted`/`shed` are [`ShardedCounter`]s with one
@@ -34,7 +31,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use netalytics_data::{
@@ -46,7 +43,6 @@ use netalytics_telemetry::{
 
 use crate::bolt::{Bolt, Grouping};
 use crate::executor::{BackpressurePolicy, Executor};
-use crate::threaded::record_e2e;
 use crate::topology::{BoltId, SourceRef, Topology};
 
 /// Execute-latency sampling period, matching the inline engine: timing
@@ -126,8 +122,7 @@ struct Worker {
     terminal: Vec<bool>,
     /// Outgoing edges per node: (target node, grouping).
     out_edges: Vec<Vec<(usize, Grouping)>>,
-    /// Shuffle state per (node, edge), local to this worker like the
-    /// threaded engine's per-thread round-robin.
+    /// Shuffle state per (node, edge), local to this worker.
     rr: Vec<Vec<usize>>,
     /// `[0]` = caller's ring, then peer rings in ascending shard order.
     incoming: Vec<Consumer<ShardMsg>>,
@@ -490,6 +485,28 @@ impl Worker {
     }
 }
 
+/// Unix-epoch wall clock: the domain capture timestamps (`ts_ns`) are
+/// stamped in, unlike the process-relative [`wall_now_ns`] spans use.
+fn wall_ns() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap_or_default()
+        .as_nanos() as u64
+}
+
+/// Records capture→now latency for every tuple carrying a capture
+/// timestamp. Tuples with `ts_ns == 0` (synthetic, no capture time) and
+/// clock skew (capture after now) are skipped rather than recorded as
+/// nonsense.
+fn record_e2e(h: &Histogram, tuples: &[DataTuple]) {
+    let now = wall_ns();
+    for t in tuples {
+        if t.ts_ns > 0 && t.ts_ns <= now {
+            h.record(now - t.ts_ns);
+        }
+    }
+}
+
 /// A running sharded topology. See the module docs for the execution
 /// model; construct via [`crate::build_executor`] with
 /// [`crate::ExecutorMode::Sharded`], or directly with
@@ -528,8 +545,9 @@ impl ShardedExecutor {
     /// [`ShardedExecutor::spawn`] with telemetry: `stream.processed` as
     /// a plain counter (single writer), `stream.emitted`/`stream.shed`
     /// as per-shard striped counters merged on scrape, per-bolt
-    /// `stream.execute_latency_ns` histograms, and `e2e.tuple_latency_ns`
-    /// for offered tuples — the same series the other engines publish.
+    /// `stream.execute_latency_ns` histograms (the `stream.*` names the
+    /// inline engine publishes too), and `e2e.tuple_latency_ns` for
+    /// offered tuples.
     pub fn spawn_with_metrics(
         topology: &Topology,
         config: ShardedConfig,
@@ -763,7 +781,7 @@ impl Executor for ShardedExecutor {
         }
         self.processed.add(batch.len() as u64);
         if let Some(h) = &self.e2e_latency {
-            record_e2e(h, batch.tuples.iter());
+            record_e2e(h, &batch.tuples);
         }
         let trace = batch.trace;
         let mut tuples = batch.into_tuples();
@@ -807,9 +825,8 @@ impl Executor for ShardedExecutor {
             return;
         }
         for tx in &mut self.main_tx {
-            // Best-effort like the threaded engine's try_send ticks: a
-            // full ring means the worker is busy with data and will get
-            // the next tick soon enough.
+            // Best-effort: a full ring means the worker is busy with data
+            // and will get the next tick soon enough.
             let _ = tx.push(ShardMsg::Tick(now_ns));
         }
     }

@@ -1,11 +1,15 @@
 //! Spouts: tuple sources feeding a topology (paper Fig. 4's "Kafka
 //! Spout").
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use netalytics_data::{ColumnBatch, DataTuple, TupleBatch};
 use netalytics_queue::{GroupId, Message, QueueCluster, TopicId};
 use netalytics_telemetry::{wall_now_ns, Tracer};
+
+use crate::executor::Executor;
 
 /// A pull-based tuple source.
 pub trait Spout: Send {
@@ -21,16 +25,16 @@ pub trait Spout: Send {
     }
 }
 
-/// Spout that polls a [`QueueCluster`] topic, decoding [`TupleBatch`]
-/// payloads — the paper's Kafka Spout (§5.3: "Storm then uses multiple
+/// Spout that polls a [`QueueCluster`] topic, decoding [`ColumnBatch`]
+/// frames — the paper's Kafka Spout (§5.3: "Storm then uses multiple
 /// Kafka 'Spouts' ... to poll for new messages").
 ///
 /// The topic and group names are interned once at construction; each poll
 /// is a [`QueueCluster::consume_batch`] into a reused scratch buffer
-/// followed by a straight decode into the outgoing batch. Columnar
-/// frames (the [`ColumnBatch`] wire format) are auto-detected by their
-/// magic word and decoded transparently, so a topic can carry a mix of
-/// row and columnar producers during migration.
+/// followed by a straight decode into the outgoing batch. Column frames
+/// are the only framing on the queue: any other payload fails
+/// [`ColumnBatch::decode`]'s magic check and is counted in
+/// [`QueueSpout::decode_errors`].
 #[derive(Debug)]
 pub struct QueueSpout {
     cluster: Arc<QueueCluster>,
@@ -103,15 +107,11 @@ impl Spout for QueueSpout {
         for m in msgs.drain(..) {
             let ts_ns = m.ts_ns;
             let mut payload = m.payload;
-            let decoded = if ColumnBatch::is_columnar_frame(&payload) {
-                ColumnBatch::decode(&mut payload).ok().map(|c| c.to_batch())
-            } else {
-                TupleBatch::decode(&mut payload).ok()
-            };
-            let Some(batch) = decoded else {
+            let Ok(columns) = ColumnBatch::decode(&mut payload) else {
                 self.decode_errors += 1;
                 continue;
             };
+            let batch = columns.to_batch();
             // The merged poll batch carries the first trace context seen;
             // every decoded context still gets its queue-dwell span.
             self.record_queue_span(batch.trace, ts_ns);
@@ -125,116 +125,98 @@ impl Spout for QueueSpout {
     }
 }
 
-/// Spout over an in-memory vector, for tests and replays.
-#[derive(Debug, Default)]
-pub struct VecSpout {
-    tuples: std::collections::VecDeque<DataTuple>,
-}
+/// Sleep between polls while [`drive`] waits for data.
+const DRIVE_IDLE: Duration = Duration::from_micros(200);
 
-impl VecSpout {
-    /// Creates a spout that replays `tuples` in order.
-    pub fn new(tuples: impl IntoIterator<Item = DataTuple>) -> Self {
-        VecSpout {
-            tuples: tuples.into_iter().collect(),
+/// The threaded lane's worker loop, run on the calling thread: poll up to
+/// `max` messages, offer the decoded batch, tick windowed bolts to the
+/// event-time watermark (the newest capture stamp seen so far), and
+/// collect terminal output.
+///
+/// Returns the collected output once `stop` is set *and* a poll comes
+/// back empty — everything shipped before `stop` was raised has then been
+/// offered. The caller still owns [`Executor::stop`].
+pub fn drive(
+    spout: &mut dyn Spout,
+    exec: &mut dyn Executor,
+    max: usize,
+    stop: &AtomicBool,
+) -> Vec<DataTuple> {
+    let mut out = Vec::new();
+    let mut watermark = 0u64;
+    loop {
+        // Read before the poll: a producer that ships and then raises
+        // `stop` is seen by the poll that follows.
+        let stopping = stop.load(Ordering::Acquire);
+        let batch = spout.poll_batch(max);
+        if batch.is_empty() {
+            if stopping {
+                return out;
+            }
+            std::thread::sleep(DRIVE_IDLE);
+            continue;
         }
-    }
-
-    /// Remaining tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True if the spout is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-}
-
-impl Spout for VecSpout {
-    fn poll(&mut self, max: usize) -> Vec<DataTuple> {
-        let take = self.tuples.len().min(max);
-        self.tuples.drain(..take).collect()
+        watermark = batch.tuples.iter().fold(watermark, |w, t| w.max(t.ts_ns));
+        exec.offer(batch);
+        exec.tick(watermark);
+        out.append(&mut exec.poll_output());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{build_executor, ExecutorMode};
+    use crate::sharded::ShardedConfig;
+    use crate::topologies::{build, ProcessorSpec};
     use bytes::Bytes;
+    use netalytics_data::{TraceCtx, Value};
     use netalytics_queue::QueueConfig;
 
-    #[test]
-    fn vec_spout_replays_in_order() {
-        let mut s = VecSpout::new((0..5).map(|i| DataTuple::new(i, i)));
-        assert_eq!(s.len(), 5);
-        let a = s.poll(3);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[0].id, 0);
-        let b = s.poll(3);
-        assert_eq!(b.len(), 2);
-        assert!(s.is_empty());
-        assert!(s.poll(3).is_empty());
+    fn frame(tuples: Vec<DataTuple>) -> Bytes {
+        ColumnBatch::from_batch(&TupleBatch::from_tuples(tuples)).encode()
     }
 
     #[test]
-    fn queue_spout_decodes_batches() {
+    fn queue_spout_decodes_column_frames_and_advances_offsets() {
         let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
-        let batch = TupleBatch::from_tuples(vec![
-            DataTuple::new(1, 0).with("url", "/a"),
-            DataTuple::new(2, 0).with("url", "/b"),
-        ]);
         let t = cluster.topic_id("http_get");
-        cluster.produce_to(t, 1, batch.encode(), 0);
-        let mut spout = QueueSpout::new(cluster.clone(), "http_get", "storm");
-        let got = spout.poll(10);
-        assert_eq!(got.len(), 2);
+        for k in 0..3u64 {
+            let tuples = vec![
+                DataTuple::new(k * 2, 0).with("url", "/a"),
+                DataTuple::new(k * 2 + 1, 0).with("url", "/b"),
+            ];
+            cluster.produce_to(t, k, frame(tuples), 0);
+        }
+        let mut spout = QueueSpout::new(cluster, "http_get", "storm");
+        let got = spout.poll_batch(10);
+        assert_eq!(got.len(), 6, "three messages drained in one poll");
+        assert_eq!(
+            got.tuples[0].get("url").and_then(Value::as_str),
+            Some("/a"),
+            "fields survive the frame"
+        );
         assert!(spout.poll(10).is_empty(), "offsets advanced");
         assert_eq!(spout.decode_errors(), 0);
     }
 
     #[test]
-    fn queue_spout_poll_batch_drains_multiple_messages() {
+    fn row_encoded_payload_is_a_counted_decode_error() {
         let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
         let t = cluster.topic_id("t");
-        for k in 0..3u64 {
-            let batch = TupleBatch::from_tuples(vec![
-                DataTuple::new(k * 2, 0),
-                DataTuple::new(k * 2 + 1, 0),
-            ]);
-            cluster.produce_to(t, k, batch.encode(), 0);
-        }
+        let rows = TupleBatch::from_tuples(vec![DataTuple::new(1, 10).with("url", "/r")]);
+        cluster.produce_to(t, 1, rows.encode(), 0);
+        cluster.produce_to(t, 1, Bytes::from_static(&[0xff; 3]), 0);
+        cluster.produce_to(t, 1, frame(vec![DataTuple::new(2, 20)]), 0);
         let mut spout = QueueSpout::new(cluster, "t", "g");
         let got = spout.poll_batch(10);
-        assert_eq!(got.len(), 6);
-        assert!(spout.poll_batch(10).is_empty());
-    }
-
-    #[test]
-    fn queue_spout_decodes_columnar_frames_transparently() {
-        let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
-        let t = cluster.topic_id("mixed");
-        let row_batch = TupleBatch::from_tuples(vec![DataTuple::new(1, 10).with("url", "/r")]);
-        let col_batch = TupleBatch::from_tuples(vec![
-            DataTuple::new(2, 20).with("url", "/c"),
-            DataTuple::new(3, 30).with("url", "/d"),
-        ]);
-        cluster.produce_to(t, 1, row_batch.encode(), 0);
-        cluster.produce_to(t, 2, ColumnBatch::from_batch(&col_batch).encode(), 0);
-        let mut spout = QueueSpout::new(cluster, "mixed", "g");
-        let got = spout.poll_batch(10);
-        assert_eq!(got.len(), 3, "row and columnar frames both decoded");
-        let urls: Vec<_> = got
-            .tuples
-            .iter()
-            .filter_map(|t| t.get("url").and_then(netalytics_data::Value::as_str))
-            .collect();
-        assert_eq!(urls, vec!["/r", "/c", "/d"]);
-        assert_eq!(spout.decode_errors(), 0);
+        assert_eq!(got.len(), 1, "only the column frame yields tuples");
+        assert_eq!(got.tuples[0].id, 2);
+        assert_eq!(spout.decode_errors(), 2, "row frame and garbage counted");
     }
 
     #[test]
     fn queue_spout_records_queue_spans_and_propagates_trace() {
-        use netalytics_data::TraceCtx;
         use netalytics_telemetry::{TraceConfig, Tracer};
 
         let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
@@ -245,7 +227,7 @@ mod tests {
             batch_id: 3,
             born_ns: 5,
         });
-        cluster.produce_to(t, 1, batch.encode(), 100);
+        cluster.produce_to(t, 1, ColumnBatch::from_batch(&batch).encode(), 100);
         let tracer = Arc::new(Tracer::new(TraceConfig {
             sample_every: 1,
             ..TraceConfig::default()
@@ -260,15 +242,37 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_payloads_counted_not_fatal() {
+    fn drive_drains_the_queue_into_a_sharded_executor_then_returns() {
         let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
         let t = cluster.topic_id("t");
-        cluster.produce_to(t, 1, Bytes::from_static(&[0xff; 3]), 0);
-        let good = TupleBatch::from_tuples(vec![DataTuple::new(1, 0)]);
-        cluster.produce_to(t, 1, good.encode(), 0);
-        let mut spout = QueueSpout::new(cluster, "t", "g");
-        let got = spout.poll(10);
-        assert_eq!(got.len(), 1);
-        assert_eq!(spout.decode_errors(), 1);
+        for k in 0..10u64 {
+            let tuples = (0..10)
+                .map(|i| DataTuple::new(k * 10 + i, 0).with("k", "x").with("v", 1.0))
+                .collect();
+            cluster.produce_to(t, k, frame(tuples), 0);
+        }
+        let topo = build(
+            &ProcessorSpec::new("group-sum")
+                .with_arg("group", "k")
+                .with_arg("value", "v"),
+        )
+        .unwrap();
+        let mut exec = build_executor(
+            &topo,
+            ExecutorMode::Sharded(ShardedConfig {
+                shards: 2,
+                ..Default::default()
+            }),
+        );
+        let mut spout = QueueSpout::new(Arc::clone(&cluster), "t", "g");
+        let mut out = drive(&mut spout, exec.as_mut(), 3, &AtomicBool::new(true));
+        assert_eq!(exec.processed(), 100, "every queued tuple was offered");
+        assert_eq!(cluster.lag_of(cluster.group_id("g"), t), 0);
+        out.extend(exec.stop(1));
+        let total: f64 = out
+            .iter()
+            .filter_map(|t| t.get("sum").and_then(Value::as_f64))
+            .sum();
+        assert_eq!(total, 100.0);
     }
 }

@@ -4,7 +4,9 @@
 //! mixed types, ragged layouts), and the SPSC ring delivers every value
 //! exactly once, in order, across a real producer/consumer thread pair.
 
-use netalytics_data::{spsc, ColumnBatch, DataTuple, PopError, PushError, TupleBatch, Value};
+use netalytics_data::{
+    spsc, ColumnBatch, DataTuple, PopError, PushError, TupleBatch, Value, COLUMNAR_MAGIC,
+};
 use proptest::prelude::*;
 
 /// Any field value. Floats are kept finite: `Value` equality is derived,
@@ -64,7 +66,7 @@ proptest! {
         prop_assert_eq!(cols.to_batch(), batch.clone(), "in-memory round trip");
 
         let mut wire = cols.encode();
-        prop_assert!(ColumnBatch::is_columnar_frame(&wire));
+        prop_assert_eq!(&wire[..4], &COLUMNAR_MAGIC.to_le_bytes()[..]);
         let decoded = ColumnBatch::decode(&mut wire).expect("well-formed frame");
         prop_assert_eq!(decoded.rows(), batch.len());
         prop_assert_eq!(decoded.to_batch(), batch, "wire round trip");

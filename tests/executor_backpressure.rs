@@ -1,9 +1,11 @@
-//! Backpressure accounting on the threaded executor's bounded channels.
+//! Backpressure accounting on the sharded executor's bounded rings, at
+//! one shard and at three (the sink's single instance lives on shard 0
+//! either way; the extra shards must not disturb the ledger).
 //!
 //! A deliberately slow terminal bolt is fed faster than it can drain.
 //! Under [`BackpressurePolicy::Block`] the producer must stall until the
-//! channel has room, so every offered tuple comes out the other end.
-//! Under [`BackpressurePolicy::Shed`] full channels drop whole slabs
+//! ring has room, so every offered tuple comes out the other end.
+//! Under [`BackpressurePolicy::Shed`] full rings drop whole slabs
 //! instead, and every dropped tuple must be counted: delivered + shed is
 //! exactly what was offered, with nothing lost twice or uncounted.
 
@@ -11,7 +13,7 @@ use std::time::Duration;
 
 use netalytics_data::{DataTuple, TupleBatch};
 use netalytics_stream::{
-    build_executor, BackpressurePolicy, Bolt, ExecutorMode, Grouping, SourceRef, ThreadedConfig,
+    build_executor, BackpressurePolicy, Bolt, ExecutorMode, Grouping, ShardedConfig, SourceRef,
     Topology,
 };
 
@@ -34,13 +36,21 @@ fn slow_topology(delay: Duration) -> Topology {
     b.build().expect("valid topology")
 }
 
-fn run(policy: BackpressurePolicy, slabs: u64, per_slab: u64, delay: Duration) -> (u64, u64, u64) {
+const SHARDS: [usize; 2] = [1, 3];
+
+fn run(
+    shards: usize,
+    policy: BackpressurePolicy,
+    slabs: u64,
+    per_slab: u64,
+    delay: Duration,
+) -> (u64, u64, u64) {
     let topo = slow_topology(delay);
     let mut exec = build_executor(
         &topo,
-        ExecutorMode::Threaded(ThreadedConfig {
-            tick_interval: Duration::from_secs(3600),
-            channel_capacity: 2,
+        ExecutorMode::Sharded(ShardedConfig {
+            shards,
+            ring_capacity: 2,
             backpressure: policy,
             ..Default::default()
         }),
@@ -57,32 +67,49 @@ fn run(policy: BackpressurePolicy, slabs: u64, per_slab: u64, delay: Duration) -
 
 #[test]
 fn block_policy_delivers_every_tuple() {
-    // 30 slabs of 4 into a capacity-2 channel behind a 1 ms/tuple bolt:
-    // without blocking, the producer would overrun the channel instantly.
+    // 30 slabs of 4 into a capacity-2 ring behind a 1 ms/tuple bolt:
+    // without blocking, the producer would overrun the ring instantly.
     let offered = 30 * 4;
-    let (delivered, shed, processed) =
-        run(BackpressurePolicy::Block, 30, 4, Duration::from_millis(1));
-    assert_eq!(processed, offered);
-    assert_eq!(shed, 0, "Block never drops");
-    assert_eq!(delivered, offered, "every offered tuple reaches the sink");
+    for shards in SHARDS {
+        let (delivered, shed, processed) = run(
+            shards,
+            BackpressurePolicy::Block,
+            30,
+            4,
+            Duration::from_millis(1),
+        );
+        assert_eq!(processed, offered, "[{shards} shards]");
+        assert_eq!(shed, 0, "[{shards} shards] Block never drops");
+        assert_eq!(
+            delivered, offered,
+            "[{shards} shards] every offered tuple reaches the sink"
+        );
+    }
 }
 
 #[test]
 fn shed_policy_accounts_for_every_tuple() {
-    // Offer far faster than the sink drains; the channel must overflow.
+    // Offer far faster than the sink drains; the ring must overflow.
     let offered = 40 * 8;
-    let (delivered, shed, processed) =
-        run(BackpressurePolicy::Shed, 40, 8, Duration::from_millis(5));
-    assert_eq!(processed, offered);
-    assert!(
-        shed > 0,
-        "a 5 ms/tuple sink behind a capacity-2 channel must shed"
-    );
-    assert_eq!(
-        delivered + shed,
-        offered,
-        "exact accounting: delivered ({delivered}) + shed ({shed}) == offered"
-    );
+    for shards in SHARDS {
+        let (delivered, shed, processed) = run(
+            shards,
+            BackpressurePolicy::Shed,
+            40,
+            8,
+            Duration::from_millis(5),
+        );
+        assert_eq!(processed, offered, "[{shards} shards]");
+        assert!(
+            shed > 0,
+            "[{shards} shards] a 5 ms/tuple sink behind a capacity-2 ring must shed"
+        );
+        assert_eq!(
+            delivered + shed,
+            offered,
+            "[{shards} shards] exact accounting: delivered ({delivered}) + shed ({shed}) == offered"
+        );
+    }
 }
 
 #[test]
@@ -90,7 +117,10 @@ fn shed_accounting_holds_for_a_fast_sink() {
     // With no artificial delay the sink mostly keeps up; however many
     // slabs slip through versus shed, the ledger must still balance.
     let offered = 10 * 4;
-    let (delivered, shed, processed) = run(BackpressurePolicy::Shed, 10, 4, Duration::ZERO);
-    assert_eq!(processed, offered);
-    assert_eq!(delivered + shed, offered);
+    for shards in SHARDS {
+        let (delivered, shed, processed) =
+            run(shards, BackpressurePolicy::Shed, 10, 4, Duration::ZERO);
+        assert_eq!(processed, offered, "[{shards} shards]");
+        assert_eq!(delivered + shed, offered, "[{shards} shards]");
+    }
 }

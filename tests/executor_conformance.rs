@@ -3,34 +3,25 @@
 //! Every check runs against both engines, constructed the same way
 //! through [`build_executor`] — the point of the trait is that callers
 //! (the aggregator NF, the orchestrator) cannot tell the deterministic
-//! inline engine from the threaded one except by scheduling. The suite
+//! inline engine from the sharded one except by scheduling. The suite
 //! pins down the shared contract: exact totals, flow-consistent
 //! grouping under parallelism, and a graceful drain on `stop`.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use netalytics_data::{DataTuple, TupleBatch, Value};
 use netalytics_stream::topologies::{build, ProcessorSpec};
 use netalytics_stream::{
-    build_executor, build_executor_with, Executor, ExecutorMode, ShardedConfig, ThreadedConfig,
+    build_executor, build_executor_with, Executor, ExecutorMode, ShardedConfig,
 };
 use netalytics_telemetry::MetricsRegistry;
 
-/// All three engine modes, with the concurrent engines configured so the
-/// tests are deterministic (no wall-clock ticks) and the bounded
-/// channels/rings are actually exercised (tiny capacities).
+/// Both engine modes, with the sharded engine's rings small enough that
+/// spill handling is actually exercised. Neither engine self-ticks, so
+/// the tests are deterministic.
 fn modes() -> Vec<(&'static str, ExecutorMode)> {
     vec![
         ("inline", ExecutorMode::Inline),
-        (
-            "threaded",
-            ExecutorMode::Threaded(ThreadedConfig {
-                tick_interval: Duration::from_secs(3600),
-                channel_capacity: 4,
-                ..Default::default()
-            }),
-        ),
         (
             "sharded",
             ExecutorMode::Sharded(ShardedConfig {

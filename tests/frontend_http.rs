@@ -16,12 +16,16 @@ use netalytics_apps::{sample_sink, ClientApp, Conversation, StaticHttpBehavior, 
 use netalytics_netsim::SimTime;
 use netalytics_packet::http;
 use netalytics_sdn::InstallMode;
+use netalytics_store::{AggValue, HistoryAgg, HistoryQuery, SeriesKey, StoreConfig};
 
 /// A long-lived query: the LIMIT outlives the test, so only an explicit
 /// DELETE (or frontend shutdown) ends it. The 100 ms top-k window makes
 /// the rank bolt re-emit continuously, so `/stream` always has lines.
 const QUERY: &str = "PARSE http_get FROM * TO web:80 LIMIT 600s SAMPLE * \
                      PROCESS (top-k: k=3, w=100ms, key=url)";
+
+/// Native rollup bucket of the stores that need sealed history.
+const BUCKET_NS: u64 = 100_000_000;
 
 /// Web tier on host 1, a client on host 0 driving conversations for a
 /// long stretch of virtual time so streams always have traffic to show.
@@ -312,8 +316,14 @@ fn frontend_over_quota_tenant_gets_typed_429() {
 /// field, sub-native bucket — is a typed 400, not a 500 or a guess.
 #[test]
 fn frontend_results_aggregate_and_rollup_modes() {
-    let store = Arc::new(TimeSeriesStore::in_memory());
-    let builder = Orchestrator::builder(4).result_store(store);
+    // Small segments and 100 ms buckets, so the run soon has sealed,
+    // cell-summarised history to aggregate over.
+    let store = Arc::new(TimeSeriesStore::in_memory_with(StoreConfig {
+        segment_max_bytes: 2_000,
+        rollup_bucket_ns: BUCKET_NS,
+        ..StoreConfig::default()
+    }));
+    let builder = Orchestrator::builder(4).result_store(Arc::clone(&store));
     let frontend = QueryFrontend::spawn("127.0.0.1:0", builder, deploy_web).expect("spawn");
     let addr = frontend.local_addr();
 
@@ -345,6 +355,35 @@ fn frontend_results_aggregate_and_rollup_modes() {
     assert!(body.contains("\"mode\":\"aggregate\""), "{body}");
     assert!(body.contains("\"agg\":\"sum\""), "{body}");
     assert!(body.contains("\"plan\":{\"pushdown\":"), "{body}");
+
+    // Distinct over a string field on a bucket-aligned range that sealed
+    // segments cover entirely: the cells hold nothing for strings, so
+    // the answer must come from the replay fallback, not `null`.
+    while store.stats().segments < 4 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "segments never sealed: {:?}",
+            store.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let series = SeriesKey::new(cookie, "");
+    let first = store.range(&series, 0, u64::MAX).expect("range")[0].ts_ns;
+    let from = first.next_multiple_of(BUCKET_NS);
+    let to = from + 2 * BUCKET_NS - 1;
+    let q = HistoryQuery::new(series, "key", from, to, HistoryAgg::Distinct);
+    let AggValue::Distinct(urls) = store.history_replay(&q).expect("replay").value else {
+        panic!("the range holds ranked urls");
+    };
+    let (status, body) = get(
+        addr,
+        &format!(
+            "/queries/{cookie}/results?mode=aggregate&field=key&agg=distinct&from={from}&to={to}"
+        ),
+    );
+    assert!(status.contains("200"), "{status}: {body}");
+    assert!(body.contains(&format!("\"value\":{urls},")), "{body}");
+    assert!(body.contains("\"plan\":{\"pushdown\":false"), "{body}");
 
     // Rollup: bucketed summaries at the native width.
     let (status, body) = get(

@@ -6,12 +6,13 @@
 //!   engine with tracing enabled; `Orchestrator::serve` then exposes
 //!   metrics, the query directory, virtual-clock waterfalls, and the
 //!   flight-recorder journal over real sockets;
-//! * the **threaded plane** — pipeline → queue → executor → store on
-//!   wall-clock threads, fetched over HTTP as the full four-stage
-//!   parse → queue → bolt → store waterfall.
+//! * the **threaded lane** — columnar pipeline → `QueueWriter` → queue →
+//!   executor → store on the wall clock, fetched over HTTP as the full
+//!   four-stage parse → queue → bolt → store waterfall.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use netalytics::{Orchestrator, TraceConfig};
@@ -19,10 +20,11 @@ use netalytics_apps::{sample_sink, ClientApp, Conversation, StaticHttpBehavior, 
 use netalytics_monitor::{Pipeline, PipelineConfig, SampleSpec};
 use netalytics_netsim::{SimDuration, SimTime};
 use netalytics_packet::{http, Packet, TcpFlags};
-use netalytics_queue::{QueueCluster, QueueConfig};
+use netalytics_queue::{QueueCluster, QueueConfig, QueueWriter};
 use netalytics_store::{StoreSink, TimeSeriesStore};
+use netalytics_stream::spout::drive;
 use netalytics_stream::{
-    build_executor_traced, topologies, ExecutorMode, ProcessorSpec, QueueSpout, Spout,
+    build_executor_traced, topologies, ExecutorMode, ProcessorSpec, QueueSpout,
 };
 use netalytics_telemetry::{
     wall_now_ns, Introspection, Journal, MetricsRegistry, QueryDirectory, TelemetryServer, Tracer,
@@ -134,11 +136,11 @@ fn orchestrator_serves_query_trace_and_events_over_http() {
 }
 
 /// The acceptance waterfall: traffic through the wall-clock threaded
-/// plane — monitor pipeline, queue cluster, executor, store sink — and
-/// the resulting ≥4-stage parse → queue → bolt → store waterfall
-/// fetched over HTTP.
+/// lane — columnar monitor pipeline, queue writer and cluster, executor,
+/// store sink — and the resulting ≥4-stage parse → queue → bolt → store
+/// waterfall fetched over HTTP.
 #[test]
-fn threaded_plane_waterfall_spans_parse_queue_bolt_store_over_http() {
+fn threaded_lane_waterfall_spans_parse_queue_bolt_store_over_http() {
     const COOKIE: u64 = 42;
     let registry = Arc::new(MetricsRegistry::new());
     let tracer = Arc::new(Tracer::with_registry(
@@ -149,22 +151,32 @@ fn threaded_plane_waterfall_spans_parse_queue_bolt_store_over_http() {
         Arc::clone(&registry),
     ));
 
-    // Stage 1: parse. Every sealed batch gets stamped (sample_every=1)
-    // and records its `parse` span.
-    let pipeline = Pipeline::spawn(PipelineConfig {
-        parsers: vec!["http_get".into()],
-        sample: SampleSpec::All,
-        batch_size: 8,
-        metrics: Some(Arc::clone(&registry)),
-        tracing: Some((COOKIE, Arc::clone(&tracer))),
-        ..Default::default()
-    })
+    // Stages 1+2: parse and queue. Every sealed column batch gets
+    // stamped (sample_every=1), records its `parse` span, and is shipped
+    // by the parser worker straight into the broker, where it dwells
+    // until the spout decodes it and records the `queue` span.
+    let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
+    let writer = Arc::new(QueueWriter::new(Arc::clone(&cluster), "http_get"));
+    let pipeline = Pipeline::spawn_with_sink(
+        PipelineConfig {
+            parsers: vec!["http_get".into()],
+            sample: SampleSpec::All,
+            batch_size: 8,
+            metrics: Some(Arc::clone(&registry)),
+            columnar: true,
+            tracing: Some((COOKIE, Arc::clone(&tracer))),
+            ..Default::default()
+        },
+        Arc::clone(&writer) as _,
+    )
     .expect("pipeline");
     let src: std::net::Ipv4Addr = "10.0.0.1".parse().unwrap();
     let dst: std::net::Ipv4Addr = "10.0.0.9".parse().unwrap();
     for i in 0..64u32 {
         let url = if i % 4 == 0 { "/hot" } else { "/cold" };
-        pipeline.offer(Packet::tcp(
+        // Capture stamps on the tracer's clock, so the queue span (last
+        // row's capture → consume) is a real dwell time.
+        let pkt = Packet::tcp(
             src,
             4000 + (i % 512) as u16,
             dst,
@@ -173,18 +185,12 @@ fn threaded_plane_waterfall_spans_parse_queue_bolt_store_over_http() {
             1,
             1,
             &http::build_get(url, "h"),
-        ));
+        );
+        pipeline.offer(pkt.at_time(wall_now_ns()));
     }
     let summary = pipeline.shutdown(false);
     assert_eq!(summary.tuples_out, 64);
-
-    // Stage 2: queue. Batches dwell in the broker; the spout records
-    // the `queue` span when it decodes them.
-    let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
-    let topic = cluster.topic_id("http_get");
-    for (key, batch) in summary.residual_batches.into_iter().enumerate() {
-        cluster.produce_to(topic, key as u64, batch.encode(), wall_now_ns());
-    }
+    assert_eq!(writer.tuples_shipped(), 64);
     let mut spout =
         QueueSpout::new(Arc::clone(&cluster), "http_get", "storm").with_tracer(Arc::clone(&tracer));
 
@@ -205,6 +211,10 @@ fn threaded_plane_waterfall_spans_parse_queue_bolt_store_over_http() {
                 .with_tracer(Arc::clone(&sink_tracer)),
         )
     });
+    // Inline, as on the benchmark's stepped lane: it hands a traced
+    // batch's context to every bolt, so the sink can close the trace even
+    // though windowed top-k only emits at a tick. The sharded engine hands
+    // it only to bolts on the traced slab's own chain.
     let mut exec = build_executor_traced(
         &topo,
         ExecutorMode::Inline,
@@ -214,14 +224,8 @@ fn threaded_plane_waterfall_spans_parse_queue_bolt_store_over_http() {
     // One message per poll, so every traced context rides its own batch
     // through the executor (the spout's merged batch carries only the
     // first context it decodes).
-    loop {
-        let batch = spout.poll_batch(1);
-        if batch.is_empty() {
-            break;
-        }
-        exec.offer(batch);
-    }
-    let out = exec.stop(wall_now_ns());
+    let mut out = drive(&mut spout, exec.as_mut(), 1, &AtomicBool::new(true));
+    out.extend(exec.stop(wall_now_ns()));
     assert!(!out.is_empty(), "rankings emitted");
     drop(exec); // the sink's final flush closes any open store spans
     assert!(store.stats().tuples > 0, "rankings committed to the store");
@@ -243,7 +247,7 @@ fn threaded_plane_waterfall_spans_parse_queue_bolt_store_over_http() {
 
     // Serve the bundle and fetch the same waterfall over HTTP.
     let queries = Arc::new(QueryDirectory::new());
-    queries.submitted(COOKIE, "top-k over http_get (threaded plane)", 1);
+    queries.submitted(COOKIE, "top-k over http_get (threaded lane)", 1);
     queries.deployed(COOKIE, 1, "localhost", 2);
     let state = Introspection {
         registry: Arc::clone(&registry),

@@ -5,7 +5,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use netalytics::{Orchestrator, TimeSeriesStore};
 use netalytics_apps::{
@@ -16,17 +15,7 @@ use netalytics_netsim::{SimDuration, SimTime};
 use netalytics_packet::http;
 use netalytics_sketch::{Sketch, SpaceSaving, SKETCH_SOURCE};
 use netalytics_stream::bolts::{HeavyHittersBolt, RankBolt};
-use netalytics_stream::{Bolt, ExecutorMode, ShardedConfig, ThreadedConfig};
-
-/// The threaded engine configured for determinism: no wall-clock
-/// self-ticks, so windows rotate only at the aggregator's virtual-time
-/// ticks — the same instants the inline engine sees.
-fn threaded() -> ExecutorMode {
-    ExecutorMode::Threaded(ThreadedConfig {
-        tick_interval: Duration::from_secs(3600),
-        ..Default::default()
-    })
-}
+use netalytics_stream::{Bolt, ExecutorMode, ShardedConfig};
 
 /// The SPSC-sharded engine with rings small enough that the workload
 /// actually exercises spill handling. It never self-ticks, so it is
@@ -96,23 +85,17 @@ fn run_heavy_hitters(mode: ExecutorMode) -> (Ranking, Ranking, u64, u64) {
     (ranking, replayed, stats.tuples_folded, stats.sketches_out)
 }
 
-/// The acceptance query runs end-to-end on all three executor modes and
-/// all agree — same ranking from the live report and from
-/// `query_history`, with monitors shipping sketch deltas instead of raw
-/// tuples.
+/// The acceptance query runs end-to-end on both executor modes and
+/// they agree — same ranking from the live report and from
+/// `QueryHandle::history`, with monitors shipping sketch deltas instead
+/// of raw tuples.
 #[test]
-fn heavy_hitters_query_identical_on_all_executor_modes() {
+fn heavy_hitters_query_identical_on_both_executor_modes() {
     let (inline_rank, inline_hist, folded_i, deltas_i) = run_heavy_hitters(ExecutorMode::Inline);
-    let (threaded_rank, threaded_hist, folded_t, deltas_t) = run_heavy_hitters(threaded());
     let (sharded_rank, sharded_hist, folded_s, deltas_s) = run_heavy_hitters(sharded());
 
     assert!(!inline_rank.is_empty(), "query produced a ranking");
-    assert_eq!(inline_rank, threaded_rank, "threaded agrees on the ranking");
     assert_eq!(inline_rank, sharded_rank, "sharded agrees on the ranking");
-    assert_eq!(
-        inline_hist, threaded_hist,
-        "threaded agrees on stored history"
-    );
     assert_eq!(
         inline_hist, sharded_hist,
         "sharded agrees on stored history"
@@ -125,7 +108,6 @@ fn heavy_hitters_query_identical_on_all_executor_modes() {
 
     // Pre-aggregation was really on: tuples folded at the tap point,
     // far fewer deltas crossed the queue, identically in every mode.
-    assert_eq!((folded_i, deltas_i), (folded_t, deltas_t));
     assert_eq!((folded_i, deltas_i), (folded_s, deltas_s));
     assert!(folded_i > 0 && deltas_i > 0 && deltas_i < folded_i);
     // Every folded observation is accounted for in the final counts.

@@ -1,14 +1,18 @@
-//! Integration: the threaded plane — monitor pipeline → queue cluster →
-//! threaded Storm-style executor — used by the Fig. 5/6 experiments.
+//! Integration: the threaded lane — columnar monitor pipeline →
+//! [`QueueWriter`] → queue cluster → [`QueueSpout`] → sharded executor —
+//! the same wiring the end-to-end benchmark and Fig. 6 measure.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 use netalytics_data::Value;
 use netalytics_monitor::{Pipeline, PipelineConfig, SampleSpec};
 use netalytics_packet::{http, Packet, TcpFlags};
-use netalytics_queue::{QueueCluster, QueueConfig};
-use netalytics_stream::{topologies, ProcessorSpec, QueueSpout, ThreadedConfig, ThreadedExecutor};
+use netalytics_queue::{QueueCluster, QueueConfig, QueueWriter};
+use netalytics_stream::spout::drive;
+use netalytics_stream::{
+    build_executor, topologies, ExecutorMode, ProcessorSpec, QueueSpout, ShardedConfig,
+};
 
 #[test]
 fn pipeline_to_queue_to_executor_counts_are_exact() {
@@ -25,17 +29,26 @@ fn pipeline_to_queue_to_executor_counts_are_exact() {
             .with_arg("par", "3"),
     )
     .unwrap();
-    let exec = ThreadedExecutor::spawn(
+    let mut exec = build_executor(
         &topo,
-        Box::new(QueueSpout::new(cluster.clone(), "http_get", "storm")),
-        ThreadedConfig::default(),
+        ExecutorMode::Sharded(ShardedConfig {
+            shards: 3,
+            ..Default::default()
+        }),
     );
-    let pipeline = Pipeline::spawn(PipelineConfig {
-        parsers: vec!["http_get".into()],
-        sample: SampleSpec::All,
-        batch_size: 64,
-        ..Default::default()
-    })
+    // The monitor output interface: parser workers seal column batches
+    // and ship them straight into the queue.
+    let writer = Arc::new(QueueWriter::new(Arc::clone(&cluster), "http_get"));
+    let pipeline = Pipeline::spawn_with_sink(
+        PipelineConfig {
+            parsers: vec!["http_get".into()],
+            sample: SampleSpec::All,
+            batch_size: 64,
+            columnar: true,
+            ..Default::default()
+        },
+        Arc::clone(&writer) as _,
+    )
     .unwrap();
 
     // 600 GETs: /hot 3x as popular as /warm.
@@ -57,27 +70,22 @@ fn pipeline_to_queue_to_executor_counts_are_exact() {
     let summary = pipeline.shutdown(false);
     assert_eq!(summary.packets_in, 600);
     assert_eq!(summary.tuples_out, 600);
-    // Ship the batches into the queue like the monitor output interface.
-    let topic = cluster.topic_id("http_get");
-    let mut key = 0u64;
-    for batch in summary.residual_batches {
-        key += 1;
-        cluster.produce_to(topic, key, batch.encode(), 0);
-    }
-    // Let the spout drain everything.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while exec.spout_tuples() < 600 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(exec.spout_tuples(), 600, "all tuples reached the executor");
-    std::thread::sleep(Duration::from_millis(50));
-    let out = exec.shutdown();
+    assert_eq!(writer.tuples_shipped(), 600, "every tuple crossed the sink");
+    assert_eq!(writer.batches_lost(), 0);
+
+    // Everything is in the queue; the driver loop returns once drained.
+    let mut spout = QueueSpout::new(Arc::clone(&cluster), "http_get", "storm");
+    let mut out = drive(&mut spout, exec.as_mut(), 512, &AtomicBool::new(true));
+    assert_eq!(exec.processed(), 600, "all tuples reached the executor");
+    assert_eq!(spout.decode_errors(), 0);
+    out.extend(exec.stop(1));
     let top = out
         .iter()
         .filter(|t| t.source == "rank")
         .find(|t| t.get("rank").and_then(Value::as_u64) == Some(0))
         .expect("a top-ranked key");
     assert_eq!(top.get("key").and_then(Value::as_str), Some("/hot"));
+    let topic = cluster.topic_id("http_get");
     assert_eq!(cluster.lag_of(cluster.group_id("storm"), topic), 0);
 }
 
