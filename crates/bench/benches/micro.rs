@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot paths underneath every experiment:
-//! flow-table lookup (per-packet at each switch), tuple codec (every
-//! monitor→aggregator byte), flow hashing/sampling (per packet at the
+//! flow-table lookup (per-packet at each switch), the row tuple codec (the
+//! store's on-disk frame), flow hashing/sampling (per packet at the
 //! collector), and the top-k counting bolt (per tuple at the processor).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -12,24 +12,12 @@
 
 use std::time::Instant;
 
-use netalytics_bench::http_get_stream;
-use netalytics_monitor::{Pipeline, PipelineConfig, SampleSpec};
-
-fn drive(config: PipelineConfig, packets: usize) -> (f64, netalytics_monitor::PipelineSummary) {
-    let stream = http_get_stream(2048, 512, 256);
-    let p = Pipeline::spawn(config).expect("valid config");
-    let start = Instant::now();
-    for i in 0..packets {
-        p.offer(stream[i % stream.len()].clone());
-    }
-    let summary = p.shutdown(false);
-    let secs = start.elapsed().as_secs_f64();
-    let mbps = summary.bytes_in as f64 * 8.0 / secs / 1e6;
-    (mbps, summary)
-}
+use netalytics_bench::{drive_pipeline, http_get_stream};
+use netalytics_monitor::{PipelineConfig, SampleSpec};
 
 fn main() {
     let n = 200_000;
+    let stream = http_get_stream(2048, 512, 256);
 
     println!("== 1. batching: batch size vs throughput and wire overhead ==\n");
     println!(
@@ -37,43 +25,42 @@ fn main() {
         "batch", "rate (Mbps)", "bytes/tuple"
     );
     for batch in [1usize, 8, 32, 128, 512] {
-        let (mbps, s) = drive(
+        let (secs, s) = drive_pipeline(
             PipelineConfig {
                 parsers: vec!["http_get".into()],
                 batch_size: batch,
                 ..Default::default()
             },
+            &stream,
             n,
         );
+        let mbps = s.bytes_in as f64 * 8.0 / secs / 1e6;
         let per_tuple = s.bytes_out as f64 / s.tuples_out.max(1) as f64;
         println!("{batch:>10} {mbps:>12.0} {per_tuple:>18.1}");
     }
-    println!("(larger batches amortize batch headers and channel operations)\n");
+    println!("(larger batches amortize the column frame's dictionaries and headers)\n");
 
     println!("== 2. sampling: fixed rate vs processed share and output ==\n");
     println!(
         "{:>10} {:>14} {:>14} {:>12}",
         "rate", "sampled %", "tuples out", "rate (Mbps)"
     );
+    let many_flows = http_get_stream(2048, 512, 1024);
     for rate in [1.0f64, 0.5, 0.2, 0.05] {
         let spec = if rate >= 1.0 {
             SampleSpec::All
         } else {
             SampleSpec::Rate(rate)
         };
-        let stream = http_get_stream(2048, 512, 1024);
-        let p = Pipeline::spawn(PipelineConfig {
-            parsers: vec!["http_get".into()],
-            sample: spec,
-            ..Default::default()
-        })
-        .expect("valid config");
-        let start = Instant::now();
-        for i in 0..n {
-            p.offer(stream[i % stream.len()].clone());
-        }
-        let s = p.shutdown(false);
-        let secs = start.elapsed().as_secs_f64();
+        let (secs, s) = drive_pipeline(
+            PipelineConfig {
+                parsers: vec!["http_get".into()],
+                sample: spec,
+                ..Default::default()
+            },
+            &many_flows,
+            n,
+        );
         let offered_share =
             100.0 * s.packets_in as f64 / (s.packets_in + s.sampler_drops).max(1) as f64;
         println!(
@@ -91,14 +78,16 @@ fn main() {
     println!("host parallelism: {cores} core(s)");
     println!("{:>10} {:>12}", "workers", "rate (Mbps)");
     for workers in [1usize, 2, 4] {
-        let (mbps, _) = drive(
+        let (secs, s) = drive_pipeline(
             PipelineConfig {
                 parsers: vec!["http_get".into()],
                 workers_per_parser: workers,
                 ..Default::default()
             },
+            &stream,
             n,
         );
+        let mbps = s.bytes_in as f64 * 8.0 / secs / 1e6;
         println!("{workers:>10} {mbps:>12.0}");
     }
     println!("(gains require spare cores; flow-hash dispatch keeps state intact)\n");

@@ -2,73 +2,26 @@
 //!
 //! Prints the Gbps a single parser core sustains per frame size, next to
 //! the 10 Gbps line-rate reference, for `tcp_conn_time` and `http_get` —
-//! the exact series of the paper's Figure 5 — plus the `http_get`
-//! columnar path ([`Parser::on_packet_columns`] straight into a
-//! [`BatchBuilder`]), the hot path the columnar refactor targets.
+//! the exact series of the paper's Figure 5. Each parser runs as the
+//! lane runs it: [`Parser::on_packet_columns`] straight into a
+//! [`BatchBuilder`], one sealed batch per pass over the stream.
 //! Writes `results/fig5.txt`.
 //!
 //! [`Parser::on_packet_columns`]: netalytics_monitor::Parser::on_packet_columns
 //!
 //! Run with: `cargo run --release -p netalytics-bench --bin fig5_monitor_throughput`
+//! (add `--quick` for the CI smoke variant).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use netalytics_bench::{gbps, http_get_stream, syn_fin_stream};
-use netalytics_data::BatchBuilder;
-use netalytics_monitor::make_parser;
-use netalytics_packet::Packet;
+use netalytics_bench::{http_get_stream, parser_gbps, syn_fin_stream};
 
 const LINE_RATE_GBPS: f64 = 10.0;
 
-fn measure(parser_name: &str, stream: &[Packet], rounds: usize) -> f64 {
-    let mut parser = make_parser(parser_name).expect("stock parser");
-    let mut out = Vec::with_capacity(4096);
-    // Warm-up round.
-    for p in stream {
-        parser.on_packet(p, &mut out);
-    }
-    out.clear();
-    let bytes: u64 = stream.iter().map(|p| p.len() as u64).sum();
-    let start = Instant::now();
-    for _ in 0..rounds {
-        for p in stream {
-            parser.on_packet(p, &mut out);
-        }
-        out.clear();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    gbps(bytes * rounds as u64, secs)
-}
-
-/// Same packet stream, columnar emission: tuples land as typed columns
-/// in a [`BatchBuilder`] and each round seals one [`ColumnBatch`] — the
-/// shape of one output batch on the pipeline's columnar fast lane.
-///
-/// [`ColumnBatch`]: netalytics_data::ColumnBatch
-fn measure_columnar(parser_name: &str, stream: &[Packet], rounds: usize) -> f64 {
-    let mut parser = make_parser(parser_name).expect("stock parser");
-    let mut builder = BatchBuilder::new();
-    // Warm-up round.
-    for p in stream {
-        parser.on_packet_columns(p, &mut builder);
-    }
-    let _ = builder.finish();
-    let bytes: u64 = stream.iter().map(|p| p.len() as u64).sum();
-    let start = Instant::now();
-    for _ in 0..rounds {
-        for p in stream {
-            parser.on_packet_columns(p, &mut builder);
-        }
-        let _ = builder.finish();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    gbps(bytes * rounds as u64, secs)
-}
-
 fn main() {
+    let quick = std::env::args().any(|a| a == "--quick");
     let n = 4096;
-    let rounds = 200;
+    let rounds = if quick { 10 } else { 200 };
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -76,19 +29,15 @@ fn main() {
     );
     let _ = writeln!(
         report,
-        "{:>10} {:>22} {:>22} {:>24}",
-        "pkt size", "tcp_conn_time (Gbps)", "http_get (Gbps)", "http_get col (Gbps)"
+        "{:>10} {:>22} {:>22}",
+        "pkt size", "tcp_conn_time (Gbps)", "http_get (Gbps)"
     );
     for &size in &[64usize, 128, 256, 512, 1024] {
-        let tcp = measure("tcp_conn_time", &syn_fin_stream(n, size, 256), rounds);
-        let (http, http_col) = if size >= 128 {
-            let stream = http_get_stream(n, size, 64);
-            (
-                measure("http_get", &stream, rounds),
-                measure_columnar("http_get", &stream, rounds),
-            )
+        let tcp = parser_gbps("tcp_conn_time", &syn_fin_stream(n, size, 256), rounds);
+        let http = if size >= 128 {
+            parser_gbps("http_get", &http_get_stream(n, size, 64), rounds)
         } else {
-            (f64::NAN, f64::NAN) // a GET does not fit a 64 B frame
+            f64::NAN // a GET does not fit a 64 B frame
         };
         let cap = |v: f64| {
             if v.is_nan() {
@@ -101,14 +50,7 @@ fn main() {
                 )
             }
         };
-        let _ = writeln!(
-            report,
-            "{:>10} {:>22} {:>22} {:>24}",
-            size,
-            cap(tcp),
-            cap(http),
-            cap(http_col)
-        );
+        let _ = writeln!(report, "{:>10} {:>22} {:>22}", size, cap(tcp), cap(http));
     }
     let _ = writeln!(
         report,
@@ -124,11 +66,7 @@ fn main() {
     );
     let _ = writeln!(
         report,
-        "The columnar column parses the same stream through on_packet_columns"
-    );
-    let _ = writeln!(
-        report,
-        "(no per-tuple heap rows), lifting http_get at every frame size."
+        "Both parsers emit straight into a column builder (no heap rows)."
     );
     print!("{report}");
     std::fs::create_dir_all("results").expect("results dir");

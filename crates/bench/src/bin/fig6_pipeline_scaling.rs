@@ -127,7 +127,6 @@ fn run_config(cfg: &Config, secs: f64) -> (f64, HistogramSnapshot) {
                     sample: SampleSpec::All,
                     batch_size: 256,
                     metrics: Some(metrics.clone()),
-                    columnar: true,
                     ..Default::default()
                 },
                 writer.clone(),

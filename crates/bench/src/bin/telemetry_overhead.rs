@@ -1,37 +1,23 @@
 //! Self-telemetry overhead smoke check.
 //!
-//! Runs the Fig. 5 monitor path (threaded pipeline, `http_get` parser,
-//! realistic 512 B GET stream) twice — once bare, once publishing into a
+//! Runs the threaded monitor pipeline (`http_get` parser, realistic
+//! 512 B GET stream) twice — once bare, once publishing into a
 //! [`MetricsRegistry`] — and reports the throughput delta. The
 //! instrumentation budget for the whole self-telemetry plane is 5 %.
 //!
 //! Run with: `cargo run --release -p netalytics-bench --bin telemetry_overhead`
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use netalytics_bench::http_get_stream;
-use netalytics_data::{BatchSink, SinkClosed, TupleBatch};
-use netalytics_monitor::{Pipeline, PipelineConfig, SampleSpec};
+use netalytics_bench::{drive_pipeline, gbps, http_get_stream};
+use netalytics_monitor::{PipelineConfig, SampleSpec};
+use netalytics_packet::Packet;
 use netalytics_telemetry::MetricsRegistry;
 
-/// Cheapest possible downstream: count tuples, drop the batch.
-#[derive(Default)]
-struct CountSink(AtomicU64);
-
-impl BatchSink for CountSink {
-    fn ship(&self, batch: TupleBatch) -> Result<(), SinkClosed> {
-        self.0.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
-/// One measured pass: `packets` frames through a fresh pipeline; returns
+/// One measured pass: 400k frames through a fresh pipeline; returns
 /// sustained Gbps (input bytes over wall time, drain included).
-fn run_once(stream: &[netalytics_packet::Packet], metrics: Option<Arc<MetricsRegistry>>) -> f64 {
-    let packets = 400_000usize;
-    let pipeline = Pipeline::spawn_with_sink(
+fn run_once(stream: &[Packet], metrics: Option<Arc<MetricsRegistry>>) -> f64 {
+    let (secs, summary) = drive_pipeline(
         PipelineConfig {
             parsers: vec!["http_get".into()],
             sample: SampleSpec::All,
@@ -39,18 +25,10 @@ fn run_once(stream: &[netalytics_packet::Packet], metrics: Option<Arc<MetricsReg
             metrics,
             ..Default::default()
         },
-        Arc::new(CountSink::default()),
-    )
-    .expect("pipeline");
-    let mut bytes = 0u64;
-    let start = Instant::now();
-    for i in 0..packets {
-        let pkt = stream[i % stream.len()].clone();
-        bytes += pkt.len() as u64;
-        pipeline.offer(pkt);
-    }
-    let _ = pipeline.shutdown(false);
-    bytes as f64 * 8.0 / start.elapsed().as_secs_f64() / 1e9
+        stream,
+        400_000,
+    );
+    gbps(summary.bytes_in, secs)
 }
 
 fn main() {
@@ -59,7 +37,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5usize);
     let stream = http_get_stream(2048, 512, 256);
-    println!("Self-telemetry overhead on the Fig. 5 monitor path");
+    println!("Self-telemetry overhead on the threaded monitor pipeline");
     println!("(http_get parser, 512 B GETs, 400k packets/round, {rounds} interleaved rounds)\n");
     // Interleave the two variants so CPU frequency drift and cache state
     // hit both equally; keep the best round of each (least interference).

@@ -1,7 +1,7 @@
 //! Query-scoped tracing overhead gate.
 //!
-//! Runs the Fig. 5 monitor path (threaded pipeline, `http_get` parser,
-//! realistic 512 B GET stream) twice — once untraced, once with a
+//! Runs the threaded monitor pipeline (`http_get` parser, realistic
+//! 512 B GET stream) twice — once untraced, once with a
 //! [`Tracer`] head-sampling batches at the default 1-in-N rate — and
 //! asserts the traced variant sustains at least 95 % of the untraced
 //! throughput. Untraced batches pay a single `Option` check per seal,
@@ -13,34 +13,17 @@
 //! `results/trace_overhead.txt`.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use netalytics_bench::http_get_stream;
-use netalytics_data::{BatchSink, SinkClosed, TupleBatch};
-use netalytics_monitor::{Pipeline, PipelineConfig, SampleSpec};
+use netalytics_bench::{drive_pipeline, gbps, http_get_stream};
+use netalytics_monitor::{PipelineConfig, SampleSpec};
+use netalytics_packet::Packet;
 use netalytics_telemetry::{TraceConfig, Tracer};
-
-/// Cheapest possible downstream: count tuples, drop the batch.
-#[derive(Default)]
-struct CountSink(AtomicU64);
-
-impl BatchSink for CountSink {
-    fn ship(&self, batch: TupleBatch) -> Result<(), SinkClosed> {
-        self.0.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-}
 
 /// One measured pass: `packets` frames through a fresh pipeline; returns
 /// sustained Gbps (input bytes over wall time, drain included).
-fn run_once(
-    stream: &[netalytics_packet::Packet],
-    packets: usize,
-    tracer: Option<Arc<Tracer>>,
-) -> f64 {
-    let pipeline = Pipeline::spawn_with_sink(
+fn run_once(stream: &[Packet], packets: usize, tracer: Option<Arc<Tracer>>) -> f64 {
+    let (secs, summary) = drive_pipeline(
         PipelineConfig {
             parsers: vec!["http_get".into()],
             sample: SampleSpec::All,
@@ -48,18 +31,10 @@ fn run_once(
             tracing: tracer.map(|t| (1u64, t)),
             ..Default::default()
         },
-        Arc::new(CountSink::default()),
-    )
-    .expect("pipeline");
-    let mut bytes = 0u64;
-    let start = Instant::now();
-    for i in 0..packets {
-        let pkt = stream[i % stream.len()].clone();
-        bytes += pkt.len() as u64;
-        pipeline.offer(pkt);
-    }
-    let _ = pipeline.shutdown(false);
-    bytes as f64 * 8.0 / start.elapsed().as_secs_f64() / 1e9
+        stream,
+        packets,
+    );
+    gbps(summary.bytes_in, secs)
 }
 
 fn main() {

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p netalytics-bench --bin traffic_reduction`
 
-use netalytics_bench::http_get_stream;
+use netalytics_bench::{http_get_stream, parser_gbps};
 use netalytics_monitor::{Monitor, MonitorConfig, SampleSpec};
 use netalytics_packet::{Packet, TcpFlags};
 
@@ -51,26 +51,14 @@ fn main() {
     let reduction = s.reduction_factor().unwrap_or(f64::NAN);
     println!("== monitor data reduction (web mix: 1 GET per 10 x 1400B data pkts) ==");
     println!("  raw bytes in     : {:>12}", s.bytes_in);
-    println!("  tuple bytes out  : {:>12}", s.bytes_out);
+    println!("  column bytes out : {:>12}", s.bytes_out);
     println!("  tuples emitted   : {:>12}", s.tuples_out);
     println!("  reduction factor : {reduction:>12.1}x");
     println!("  (Fig. 6 analysis assumes ~10:1 monitor->aggregator reduction)");
 
     // Core budget for 40 Gbps, scaled from this machine's measured
     // single-core parser rate (Fig. 5 methodology).
-    let stream = http_get_stream(4096, 512, 64);
-    let mut parser = netalytics_monitor::make_parser("http_get").unwrap();
-    let mut out = Vec::new();
-    let start = std::time::Instant::now();
-    let rounds = 100;
-    for _ in 0..rounds {
-        for p in &stream {
-            parser.on_packet(p, &mut out);
-        }
-        out.clear();
-    }
-    let bytes: u64 = stream.iter().map(|p| p.len() as u64).sum::<u64>() * rounds;
-    let gbps_core = bytes as f64 * 8.0 / start.elapsed().as_secs_f64() / 1e9;
+    let gbps_core = parser_gbps("http_get", &http_get_stream(4096, 512, 64), 100);
     let monitor_cores = (40.0 / gbps_core).ceil();
     println!("\n== core budget for a 40 Gbps aggregate (paper: 4 monitor + 15 processing) ==");
     println!("  this machine, http_get @512B: {gbps_core:.2} Gbps per core");

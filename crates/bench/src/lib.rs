@@ -6,7 +6,12 @@
 //! PktGen-DPDK traffic generator.
 
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
+use netalytics_data::{BatchBuilder, BatchSink, ColumnBatch, SinkClosed, TupleBatch};
+use netalytics_monitor::{make_parser, Pipeline, PipelineConfig, PipelineSummary};
 use netalytics_packet::{
     http, Packet, TcpFlags, ETHERNET_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN,
 };
@@ -64,6 +69,71 @@ pub fn http_get_stream(n: usize, frame_len: usize, urls: usize) -> Vec<Packet> {
             )
         })
         .collect()
+}
+
+/// Cheapest possible downstream of a [`netalytics_monitor::Pipeline`]:
+/// count tuples, drop the batch. The pipeline ships column batches;
+/// counting them as such keeps a row conversion out of the timed path.
+#[derive(Debug, Default)]
+pub struct CountSink(AtomicU64);
+
+impl BatchSink for CountSink {
+    fn ship(&self, batch: TupleBatch) -> Result<(), SinkClosed> {
+        self.0.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn ship_columns(&self, columns: ColumnBatch) -> Result<(), SinkClosed> {
+        self.0.fetch_add(columns.rows() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// One measured pass through the threaded monitor lane: offers `packets`
+/// frames cycled from `stream` to a fresh pipeline shipping into a
+/// [`CountSink`] and drains it. Returns the wall seconds (drain included)
+/// and the final counters.
+///
+/// # Panics
+///
+/// Panics if `config` names no or an unknown parser.
+pub fn drive_pipeline(
+    config: PipelineConfig,
+    stream: &[Packet],
+    packets: usize,
+) -> (f64, PipelineSummary) {
+    let pipeline = Pipeline::spawn_with_sink(config, Arc::new(CountSink::default()))
+        .expect("valid pipeline config");
+    let start = Instant::now();
+    for i in 0..packets {
+        pipeline.offer(stream[i % stream.len()].clone());
+    }
+    let summary = pipeline.shutdown(false);
+    (start.elapsed().as_secs_f64(), summary)
+}
+
+/// Gbps one core sustains running a stock parser over `stream`, `rounds`
+/// times after a warm-up pass, the way a lane runs it: rows land as typed
+/// columns in a [`BatchBuilder`] and each round seals one batch.
+///
+/// # Panics
+///
+/// Panics if `parser_name` is not a stock parser.
+pub fn parser_gbps(parser_name: &str, stream: &[Packet], rounds: usize) -> f64 {
+    let mut parser = make_parser(parser_name).expect("stock parser");
+    let mut builder = BatchBuilder::new();
+    let bytes: u64 = stream.iter().map(|p| p.len() as u64).sum();
+    let mut start = Instant::now();
+    for round in 0..=rounds {
+        if round == 1 {
+            start = Instant::now(); // round 0 was the warm-up
+        }
+        for p in stream {
+            parser.on_packet_columns(p, &mut builder);
+        }
+        let _ = builder.finish();
+    }
+    gbps(bytes * rounds as u64, start.elapsed().as_secs_f64())
 }
 
 /// Gigabits per second achieved moving `bytes` in `secs`.

@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use netalytics_data::{DataTuple, TraceCtx, TupleBatch};
+use netalytics_data::{ColumnBatch, DataTuple, TraceCtx, TupleBatch};
 use netalytics_monitor::{FeedbackSignal, Monitor, MonitorStats};
 use netalytics_netsim::{App, Ctx, SimDuration, SimTime};
 use netalytics_packet::Packet;
@@ -46,7 +46,8 @@ pub struct MonitorShared {
 pub type MonitorHandle = Rc<RefCell<MonitorShared>>;
 
 /// An NFV monitor on an emulated host: processes mirrored packets through
-/// its parsers and ships tuple batches to the aggregator over the fabric.
+/// its parsers and ships column-batch frames to the aggregator over the
+/// fabric — the same frame the queue carries on the threaded plane.
 pub struct MonitorApp {
     monitor: Monitor,
     aggregator: (Ipv4Addr, u16),
@@ -193,6 +194,9 @@ pub struct AggregatorShared {
     pub tuples_processed: u64,
     /// Tuples shed to buffer overflow.
     pub dropped: u64,
+    /// Datagrams on the batch port that were not a column-batch frame
+    /// (the emulated plane's twin of `QueueSpout::decode_errors`).
+    pub decode_errors: u64,
     /// Overload feedback messages sent.
     pub overload_signals: u64,
     /// Set by the orchestrator after re-placing a monitor: replaces the
@@ -362,8 +366,12 @@ impl App for AggregatorApp {
             return;
         }
         let mut payload = bytes::Bytes::copy_from_slice(view.payload);
-        let Ok(batch) = TupleBatch::decode(&mut payload) else {
-            return;
+        let batch = match ColumnBatch::decode(&mut payload) {
+            Ok(cols) => cols.to_batch(),
+            Err(_) => {
+                self.shared.borrow_mut().decode_errors += 1;
+                return;
+            }
         };
         if self.tracer.is_some() {
             if let Some(tctx) = batch.trace {
@@ -620,6 +628,42 @@ mod tests {
             stages.contains("parse") && stages.contains("queue") && stages.contains("bolt"),
             "virtual waterfall must span the pipeline: {stages:?}"
         );
+    }
+
+    #[test]
+    fn undecodable_batch_frames_are_counted_not_silently_dropped() {
+        /// Sends one row-encoded batch — the store's frame, not the
+        /// wire's — to the aggregator's batch port.
+        struct RowFrame(Ipv4Addr);
+        impl App for RowFrame {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                let rows = TupleBatch::from_tuples(vec![DataTuple::new(1, 1).with("url", "/a")]);
+                ctx.send(Packet::udp(
+                    ctx.ip(),
+                    BATCH_PORT,
+                    self.0,
+                    BATCH_PORT,
+                    &rows.encode(),
+                ));
+            }
+            fn on_packet(&mut self, _p: &Packet, _ctx: &mut Ctx<'_>) {}
+        }
+
+        let mut engine = Engine::new(Network::fat_tree(4, LinkSpec::default()));
+        let agg_ip = engine.network().host_ip(3);
+        let topo = topologies::build(&ProcessorSpec::new("group-sum")).unwrap();
+        let agg_app = AggregatorApp::new(
+            shared_executor(&topo, ExecutorMode::Inline),
+            vec![],
+            100,
+            10,
+        );
+        let handle = agg_app.handle();
+        engine.set_app(0, Box::new(RowFrame(agg_ip)));
+        engine.set_app(3, Box::new(agg_app));
+        engine.run_until(SimTime::from_nanos(100_000_000));
+        assert_eq!(handle.borrow().tuples_in, 0, "a row frame yields no tuples");
+        assert_eq!(handle.borrow().decode_errors, 1);
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!
 //! * [`Value`] — a small dynamically-typed scalar.
 //! * [`DataTuple`] — an identified, timestamped bag of named [`Value`]s.
-//! * [`TupleBatch`] — the unit monitors ship to aggregators (§3.1 batching).
-//! * [`codec`] — a compact, dependency-free binary encoding used on the
-//!   emulated wire (stand-in for the JSON/Kafka encoding of §5.2).
+//! * [`TupleBatch`] — a batch of rows: what executors and bolts take,
+//!   and the store's on-disk record.
+//! * [`ColumnBatch`] — the same records transposed: what monitors seal
+//!   and the only frame on a wire, emulated or queued (§3.1 batching;
+//!   stand-in for the JSON/Kafka encoding of §5.2).
+//! * [`codec`] — the compact, dependency-free binary row encoding.
 //!
 //! # Examples
 //!

@@ -1,14 +1,17 @@
 //! The batch hand-off contract between pipeline stages.
 //!
-//! Every seam in the data plane — monitor → queue, queue → stream, stream →
-//! external consumers — moves whole [`TupleBatch`]es, never individual
-//! tuples. A producer holds some `dyn BatchSink` and calls [`BatchSink::ship`]
-//! once per batch; the sink either accepts the batch (enqueuing, encoding, or
-//! forwarding it as one unit) or reports that the downstream side is gone.
+//! Every seam in the data plane moves whole batches, never individual
+//! tuples. The monitor pipeline holds some `dyn BatchSink` and calls
+//! [`BatchSink::ship_columns`] once per sealed [`ColumnBatch`] — column
+//! batches are the only thing a monitor produces and the only frame the
+//! queue carries. [`BatchSink::ship`] takes a row [`TupleBatch`] for
+//! producers downstream of the wire (tests, examples, anything already
+//! holding rows). Either way the sink accepts the batch as one unit
+//! (enqueuing, encoding, or forwarding it) or reports that the downstream
+//! side is gone.
 //!
-//! Implementations must be cheap to share across producer threads: parser
-//! workers in `netalytics-monitor` all ship into one sink concurrently, so
-//! `ship` takes `&self` and implementors handle their own synchronization.
+//! Implementations must be cheap to share across producer threads, so both
+//! methods take `&self` and implementors handle their own synchronization.
 
 use parking_lot::Mutex;
 
@@ -37,7 +40,7 @@ impl std::error::Error for SinkClosed {}
 /// A destination that accepts tuple batches as indivisible units.
 ///
 /// This is the one transport abstraction shared by all layers: the monitor
-/// pipeline ships into a queue-backed sink, benchmarks ship into channel
+/// pipeline ships into a queue-backed sink, benchmarks ship into counting
 /// sinks, and tests ship into in-memory collectors.
 pub trait BatchSink: Send + Sync {
     /// Hands one batch downstream.

@@ -163,9 +163,11 @@ pub struct TraceCtx {
     pub born_ns: u64,
 }
 
-/// A batch of tuples shipped from a monitor to the aggregation layer in one
-/// message (paper §3.1: "aggregating tuples produced by all parsers and
-/// having the monitor send them in batches").
+/// A batch of tuples in row form (paper §3.1: "aggregating tuples produced
+/// by all parsers and having the monitor send them in batches"). Monitors
+/// seal and ship the columnar twin, [`crate::ColumnBatch`]; this is what
+/// the readers decode it into for the executors, and what the store
+/// writes to disk.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TupleBatch {
     /// Tuples in this batch, oldest first.
@@ -272,44 +274,6 @@ impl TupleBatch {
     /// Consumes the batch and returns the raw tuple vector.
     pub fn into_tuples(self) -> Vec<DataTuple> {
         self.tuples
-    }
-
-    /// Splits the batch into chunks of at most `max` tuples.
-    ///
-    /// The last chunk holds the remainder; an empty batch yields no chunks.
-    /// Used where a transport caps its message size (UDP framing, queue
-    /// segment limits).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use netalytics_data::{DataTuple, TupleBatch};
-    ///
-    /// let batch: TupleBatch = (0..5).map(|i| DataTuple::new(i, 0)).collect();
-    /// let sizes: Vec<usize> = batch.split_into(2).map(|c| c.len()).collect();
-    /// assert_eq!(sizes, [2, 2, 1]);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero.
-    pub fn split_into(self, max: usize) -> impl Iterator<Item = TupleBatch> {
-        assert!(max > 0, "chunk size must be positive");
-        let mut rest = self.tuples;
-        // The first chunk inherits the trace context; duplicating it
-        // would double-count the batch in every downstream stage.
-        let mut trace = self.trace;
-        std::iter::from_fn(move || {
-            if rest.is_empty() {
-                return None;
-            }
-            let tail = rest.split_off(rest.len().min(max));
-            let head = std::mem::replace(&mut rest, tail);
-            Some(TupleBatch {
-                tuples: head,
-                trace: trace.take(),
-            })
-        })
     }
 }
 
@@ -445,19 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn split_into_covers_all_tuples_in_order() {
-        let batch: TupleBatch = (0..10).map(|i| DataTuple::new(i, 0)).collect();
-        let chunks: Vec<TupleBatch> = batch.clone().split_into(3).collect();
-        assert_eq!(
-            chunks.iter().map(TupleBatch::len).collect::<Vec<_>>(),
-            [3, 3, 3, 1]
-        );
-        let rejoined: Vec<DataTuple> = chunks.into_iter().flatten().collect();
-        assert_eq!(rejoined, batch.tuples);
-        assert_eq!(TupleBatch::new().split_into(4).count(), 0);
-    }
-
-    #[test]
     fn take_empties_but_preserves_contents() {
         let mut batch: TupleBatch = (0..4).map(|i| DataTuple::new(i, 0)).collect();
         let taken = batch.take();
@@ -503,18 +454,12 @@ mod tests {
     }
 
     #[test]
-    fn take_and_split_move_the_trace_context_once() {
+    fn take_moves_the_trace_context_out() {
         let mut batch: TupleBatch = (0..5).map(|i| DataTuple::new(i, 0)).collect();
         batch.trace = Some(ctx());
         let taken = batch.take();
         assert_eq!(taken.trace, Some(ctx()));
         assert_eq!(batch.trace, None, "take() moves the context out");
-        let chunks: Vec<TupleBatch> = taken.split_into(2).collect();
-        assert_eq!(chunks[0].trace, Some(ctx()));
-        assert!(
-            chunks[1..].iter().all(|c| c.trace.is_none()),
-            "only the first chunk keeps the context"
-        );
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //!
 //! A *monitor* is a software network function that receives a mirrored
 //! packet stream, runs one or more protocol [`Parser`]s over every sampled
-//! packet, and emits compact data tuples in batches toward the aggregation
+//! packet, and emits compact column batches of data tuples toward the aggregation
 //! layer. The paper builds this on DPDK; we reproduce its architecture —
 //! zero-copy fan-out, per-parser queues and workers, early drops, batching
 //! — on top of refcounted packet buffers and lock-free channels.
 //!
-//! Two execution forms share the same parsers:
+//! Two execution forms drive the same lane core (parsers → column
+//! builder → parser flush → pre-aggregation fold → sealed, trace-stamped
+//! column batch):
 //!
-//! * [`Monitor`] — inline, deterministic; used on the discrete-event plane.
-//! * [`Pipeline`] — threaded (collector + per-parser workers); used by the
-//!   Fig. 5 throughput experiments.
+//! * [`Monitor`] — inline, deterministic; used on the discrete-event
+//!   plane, on the virtual clock.
+//! * [`Pipeline`] — threaded (collector + per-parser workers + shipper),
+//!   on the wall clock; the form the end-to-end benchmark and Fig. 6 run.
 //!
 //! Sampling is by flow, not packet ([`FlowSampler`]), and adapts to
 //! aggregation-layer back-pressure ([`FeedbackSignal`], §4.2).
@@ -41,6 +44,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod lane;
 pub mod monitor;
 pub mod parser;
 pub mod parsers;
@@ -48,6 +52,6 @@ pub mod pipeline;
 pub mod sampler;
 
 pub use monitor::{Monitor, MonitorConfig, MonitorError, MonitorStats};
-pub use parser::{append_rows, make_parser, Parser, STOCK_PARSERS};
+pub use parser::{make_parser, Parser, STOCK_PARSERS};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineCounters, PipelineSummary};
 pub use sampler::{FeedbackSignal, FlowSampler, SampleSpec};

@@ -1,17 +1,20 @@
-//! The monitor proper: sampler → parsers → batched tuple output.
+//! The monitor proper: sampler → lane → sealed column batches.
 //!
 //! This is the *inline* (single-threaded, deterministic) form used on the
-//! discrete-event plane; [`crate::pipeline`] is the threaded form used for
-//! throughput experiments (Fig. 5). Both share the same parsers.
+//! discrete-event plane; [`crate::pipeline`] is the threaded form. Both
+//! drive the same lane core ([`crate::lane`]), here on the
+//! virtual clock: packet capture times while processing, the caller's
+//! `now_ns` at each drain.
 
 use std::sync::Arc;
 
-use netalytics_data::{DataTuple, TraceCtx, TupleBatch};
+use netalytics_data::ColumnBatch;
 use netalytics_packet::Packet;
 use netalytics_sketch::{PreAgg, PreAggSpec};
 use netalytics_telemetry::Tracer;
 
-use crate::parser::{make_parser, Parser};
+use crate::lane::{Lane, LaneStats};
+use crate::parser::make_parser;
 use crate::sampler::{FeedbackSignal, FlowSampler, SampleSpec};
 
 /// Configuration of one monitor instance.
@@ -21,10 +24,12 @@ pub struct MonitorConfig {
     pub parsers: Vec<String>,
     /// Sampling requested by the query's `SAMPLE` clause.
     pub sample: SampleSpec,
-    /// Tuples per output batch (§3.1: tuples are sent in batches).
+    /// Rows (and packets between parser flushes) per output batch (§3.1:
+    /// tuples are sent in batches).
     pub batch_size: usize,
-    /// When set, parsed tuples the spec covers fold into a bounded
-    /// in-monitor sketch and only a per-drain delta ships — the §5.2
+    /// When set, parsed rows the spec covers fold into a bounded
+    /// in-monitor sketch and only a delta ships, per drain or per 1024
+    /// folded rows, whichever comes first — the §5.2
     /// data-reduction idea pushed from the aggregation layer all the
     /// way into the NFV monitor.
     pub preagg: Option<PreAggSpec>,
@@ -64,6 +69,13 @@ pub struct MonitorStats {
 }
 
 impl MonitorStats {
+    fn absorb(&mut self, lane: LaneStats) {
+        self.tuples_out += lane.tuples_out;
+        self.bytes_out += lane.bytes_out;
+        self.tuples_folded += lane.tuples_folded;
+        self.sketches_out += lane.sketches_out;
+    }
+
     /// Raw-traffic-to-tuple-traffic reduction factor (input bytes per
     /// output byte); `None` until something was emitted.
     pub fn reduction_factor(&self) -> Option<f64> {
@@ -160,24 +172,17 @@ impl std::error::Error for MonitorError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Monitor {
-    parsers: Vec<Box<dyn Parser>>,
+    lane: Lane,
     sampler: FlowSampler,
-    batch_size: usize,
-    pending: Vec<DataTuple>,
-    preagg: Option<PreAgg>,
+    /// Batches sealed since the last drain.
+    ready: Vec<ColumnBatch>,
     stats: MonitorStats,
-    /// When set, drained batches are head-sampled and stamped with a
-    /// trace context scoped to this query cookie.
-    tracing: Option<(u64, Arc<Tracer>)>,
 }
 
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
-            .field(
-                "parsers",
-                &self.parsers.iter().map(|p| p.name()).collect::<Vec<_>>(),
-            )
+            .field("parsers", &self.lane.parser_names())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -199,42 +204,36 @@ impl Monitor {
             .map(|n| make_parser(n).ok_or_else(|| MonitorError::UnknownParser(n.clone())))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Monitor {
-            parsers,
+            lane: Lane::new(
+                parsers,
+                config.batch_size,
+                config.preagg.map(PreAgg::new),
+                None,
+                0,
+            ),
             sampler: FlowSampler::new(config.sample),
-            batch_size: config.batch_size.max(1),
-            pending: Vec::new(),
-            preagg: config.preagg.map(PreAgg::new),
+            ready: Vec::new(),
             stats: MonitorStats::default(),
-            tracing: None,
         })
     }
 
-    /// Enables query-scoped tracing: drained batches are head-sampled
-    /// per the tracer's config, and sampled ones carry a [`TraceCtx`]
-    /// for `cookie` downstream (plus a `parse` span covering capture →
-    /// drain on the caller's clock).
+    /// Enables query-scoped tracing: sealed batches are head-sampled
+    /// per the tracer's config, and sampled ones carry a trace context
+    /// for `cookie` downstream (plus a `parse` span covering first row →
+    /// seal on the virtual clock).
     pub fn set_tracing(&mut self, cookie: u64, tracer: Arc<Tracer>) {
-        self.tracing = Some((cookie, tracer));
+        self.lane.set_tracing(cookie, tracer);
     }
 
-    /// Folds `pending[start..]` into the pre-aggregation sketch; tuples
-    /// the spec does not cover (missing field) stay raw.
-    fn fold_pending(&mut self, start: usize) {
-        let Some(pa) = &mut self.preagg else {
-            return;
-        };
-        let tail: Vec<DataTuple> = self.pending.drain(start..).collect();
-        for t in tail {
-            if pa.offer(&t) {
-                self.stats.tuples_folded += 1;
-            } else {
-                self.pending.push(t);
-            }
-        }
+    fn seal(&mut self, now_ns: u64, drain: bool) {
+        self.ready.extend(self.lane.seal(now_ns, drain, || now_ns));
+        self.stats.absorb(self.lane.take_stats());
     }
 
     /// Offers one packet to the monitor; every parser sees each sampled
     /// packet (the collector fans a descriptor out to all parser queues).
+    /// A batch that fills seals on the spot, at the packet's capture
+    /// time, and waits for the next [`Monitor::drain`].
     pub fn process(&mut self, packet: &Packet) {
         self.stats.packets_seen += 1;
         if !self.sampler.accept(packet) {
@@ -242,55 +241,16 @@ impl Monitor {
         }
         self.stats.packets_sampled += 1;
         self.stats.bytes_in += packet.len() as u64;
-        let start = self.pending.len();
-        for p in &mut self.parsers {
-            p.on_packet(packet, &mut self.pending);
+        if self.lane.offer(packet, || packet.ts_ns) {
+            self.seal(self.lane.newest_ts(), false);
         }
-        self.fold_pending(start);
     }
 
-    /// Flushes aggregating parsers and drains pending tuples into batches
-    /// of at most `batch_size`, updating output-byte accounting.
-    pub fn drain(&mut self, now_ns: u64) -> Vec<TupleBatch> {
-        let start = self.pending.len();
-        for p in &mut self.parsers {
-            p.flush(now_ns, &mut self.pending);
-        }
-        self.fold_pending(start);
-        if let Some(pa) = &mut self.preagg {
-            if let Some(delta) = pa.take_delta(now_ns, now_ns) {
-                self.pending.push(delta);
-                self.stats.sketches_out += 1;
-            }
-        }
-        let mut out = Vec::new();
-        while !self.pending.is_empty() {
-            let take = self.pending.len().min(self.batch_size);
-            let mut batch = TupleBatch::from_tuples(self.pending.drain(..take).collect());
-            if let Some((cookie, tracer)) = &self.tracing {
-                if let Some(batch_id) = tracer.sample_batch() {
-                    // Born at the oldest tuple's capture time; the parse
-                    // span runs from there to this drain.
-                    let born_ns = batch
-                        .tuples
-                        .iter()
-                        .map(|t| t.ts_ns)
-                        .min()
-                        .unwrap_or(now_ns)
-                        .min(now_ns);
-                    batch.trace = Some(TraceCtx {
-                        cookie: *cookie,
-                        batch_id,
-                        born_ns,
-                    });
-                    tracer.record_span(0, *cookie, batch_id, born_ns, "parse", born_ns, now_ns);
-                }
-            }
-            self.stats.tuples_out += batch.len() as u64;
-            self.stats.bytes_out += batch.wire_size() as u64;
-            out.push(batch);
-        }
-        out
+    /// Flushes aggregating parsers and the pre-aggregation sketch at
+    /// `now_ns` and hands over every batch sealed since the last drain.
+    pub fn drain(&mut self, now_ns: u64) -> Vec<ColumnBatch> {
+        self.seal(now_ns, true);
+        std::mem::take(&mut self.ready)
     }
 
     /// Forwards an aggregation-layer feedback signal to the sampler.
@@ -312,8 +272,13 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netalytics_data::DataTuple;
     use netalytics_packet::{http, TcpFlags};
     use std::net::Ipv4Addr;
+
+    fn rows(batches: Vec<ColumnBatch>) -> Vec<DataTuple> {
+        batches.iter().flat_map(ColumnBatch::to_batch).collect()
+    }
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
@@ -362,7 +327,7 @@ mod tests {
         })
         .unwrap();
         m.process(&http_pkt("/a"));
-        let tuples: Vec<_> = m.drain(0).into_iter().flatten().collect();
+        let tuples = rows(m.drain(0));
         assert_eq!(tuples.len(), 2, "one tuple from each parser");
         let sources: Vec<_> = tuples.iter().map(|t| t.source.clone()).collect();
         assert!(sources.contains(&"tcp_flow_key".to_string()));
@@ -382,7 +347,7 @@ mod tests {
             m.process(&Packet::tcp(A, 4000 + i, B, 80, TcpFlags::ACK, 0, 0, b""));
         }
         let batches = m.drain(0);
-        let sizes: Vec<_> = batches.iter().map(TupleBatch::len).collect();
+        let sizes: Vec<_> = batches.iter().map(ColumnBatch::rows).collect();
         assert_eq!(sizes, vec![10, 10, 5]);
     }
 
@@ -433,7 +398,7 @@ mod tests {
         for i in 0..100u32 {
             m.process(&http_pkt(&format!("/page{}", i % 5)));
         }
-        let tuples: Vec<_> = m.drain(7_000).into_iter().flatten().collect();
+        let tuples = rows(m.drain(7_000));
         // 100 parsed tuples collapse to one sketch delta over the queue.
         assert_eq!(tuples.len(), 1);
         assert_eq!(tuples[0].source, SKETCH_SOURCE);
@@ -470,7 +435,7 @@ mod tests {
         for i in 0..10 {
             m.process(&Packet::tcp(A, 4000 + i, B, 80, TcpFlags::ACK, 0, 0, b""));
         }
-        let tuples: Vec<_> = m.drain(0).into_iter().flatten().collect();
+        let tuples = rows(m.drain(0));
         assert_eq!(tuples.len(), 10, "uncovered tuples pass through raw");
         assert_eq!(m.stats().tuples_folded, 0);
         assert_eq!(m.stats().sketches_out, 0);
@@ -498,11 +463,11 @@ mod tests {
         let batches = m.drain(5_000);
         assert_eq!(batches.len(), 2);
         for b in &batches {
-            let ctx = b.trace.expect("sample_every=1 stamps every batch");
+            let ctx = b.trace().expect("sample_every=1 stamps every batch");
             assert_eq!(ctx.cookie, 42);
             assert!(ctx.batch_id > 0);
         }
-        assert_ne!(batches[0].trace, batches[1].trace, "distinct batch ids");
+        assert_ne!(batches[0].trace(), batches[1].trace(), "distinct batch ids");
         let falls = tracer.waterfalls(42);
         assert!(!falls.is_empty());
         assert_eq!(falls[0].spans[0].stage, "parse");
@@ -512,7 +477,7 @@ mod tests {
     fn untraced_monitor_leaves_batches_unstamped() {
         let mut m = Monitor::new(MonitorConfig::default()).unwrap();
         m.process(&Packet::tcp(A, 4000, B, 80, TcpFlags::ACK, 0, 0, b""));
-        assert!(m.drain(0).iter().all(|b| b.trace.is_none()));
+        assert!(m.drain(0).iter().all(|b| b.trace().is_none()));
     }
 
     #[test]

@@ -4,50 +4,27 @@
 //! request" (§3.1); responses contribute the status code and, joined by
 //! flow ID, per-URL timing (Fig. 13).
 
-use std::fmt::Write as _;
-
-use netalytics_data::{BatchBuilder, DataTuple, FieldId};
+use netalytics_data::BatchBuilder;
 use netalytics_packet::{http, Packet};
 
+use super::{field_ip, Fields};
 use crate::parser::Parser;
 
 /// Extracts GET URLs from requests and status codes from responses.
 ///
-/// Overrides [`Parser::on_packet_columns`] natively: field ids are
-/// interned once at construction and values (including the formatted
-/// peer IP, via a reused scratch buffer) append straight into column
-/// arenas — the columnar pipeline parses GETs without a single
-/// per-packet heap allocation beyond the URL itself.
-#[derive(Debug)]
+/// Field ids are interned once at construction and values (including
+/// the formatted peer IP) append straight into column arenas — a GET
+/// parses without a single per-packet heap allocation beyond the URL
+/// itself.
+#[derive(Debug, Default)]
 pub struct HttpGetParser {
-    f_kind: FieldId,
-    f_url: FieldId,
-    f_status: FieldId,
-    f_dst_ip: FieldId,
-    f_src_ip: FieldId,
-    f_t_ns: FieldId,
-    /// Scratch for IP formatting on the columnar path.
-    ip_buf: String,
+    f: Fields,
 }
 
 impl HttpGetParser {
     /// Creates the parser.
     pub fn new() -> Self {
-        HttpGetParser {
-            f_kind: FieldId::intern("kind"),
-            f_url: FieldId::intern("url"),
-            f_status: FieldId::intern("status"),
-            f_dst_ip: FieldId::intern("dst_ip"),
-            f_src_ip: FieldId::intern("src_ip"),
-            f_t_ns: FieldId::intern("t_ns"),
-            ip_buf: String::new(),
-        }
-    }
-}
-
-impl Default for HttpGetParser {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -56,7 +33,7 @@ impl Parser for HttpGetParser {
         "http_get"
     }
 
-    fn on_packet(&mut self, packet: &Packet, out: &mut Vec<DataTuple>) {
+    fn on_packet_columns(&mut self, packet: &Packet, out: &mut BatchBuilder) {
         let Ok(view) = packet.view() else { return };
         if view.tcp.is_none() || view.payload.is_empty() {
             return;
@@ -69,55 +46,19 @@ impl Parser for HttpGetParser {
         let id = flow.canonical_hash();
         if let Some(req) = http::parse_request(view.payload) {
             if req.method == http::Method::Get {
-                out.push(
-                    DataTuple::new(id, packet.ts_ns)
-                        .from_source(self.name())
-                        .with("kind", "request")
-                        .with("url", req.url)
-                        .with("dst_ip", flow.dst_ip.to_string())
-                        .with("t_ns", packet.ts_ns),
-                );
-            }
-        } else if let Some(status) = http::parse_status(view.payload) {
-            out.push(
-                DataTuple::new(id, packet.ts_ns)
-                    .from_source(self.name())
-                    .with("kind", "response")
-                    .with("status", u64::from(status))
-                    .with("src_ip", flow.src_ip.to_string())
-                    .with("t_ns", packet.ts_ns),
-            );
-        }
-    }
-
-    fn on_packet_columns(&mut self, packet: &Packet, out: &mut BatchBuilder) {
-        let Ok(view) = packet.view() else { return };
-        if view.tcp.is_none() || view.payload.is_empty() {
-            return;
-        }
-        let Some(flow) = packet.flow_key() else {
-            return;
-        };
-        let id = flow.canonical_hash();
-        if let Some(req) = http::parse_request(view.payload) {
-            if req.method == http::Method::Get {
                 out.begin_row(id, packet.ts_ns, "http_get");
-                out.field_str(self.f_kind, "request");
-                out.field_str(self.f_url, &req.url);
-                self.ip_buf.clear();
-                let _ = write!(self.ip_buf, "{}", flow.dst_ip);
-                out.field_str(self.f_dst_ip, &self.ip_buf);
-                out.field_u64(self.f_t_ns, packet.ts_ns);
+                out.field_str(self.f.kind, "request");
+                out.field_str(self.f.url, &req.url);
+                field_ip(out, self.f.dst_ip, flow.dst_ip);
+                out.field_u64(self.f.t_ns, packet.ts_ns);
                 out.end_row();
             }
         } else if let Some(status) = http::parse_status(view.payload) {
             out.begin_row(id, packet.ts_ns, "http_get");
-            out.field_str(self.f_kind, "response");
-            out.field_u64(self.f_status, u64::from(status));
-            self.ip_buf.clear();
-            let _ = write!(self.ip_buf, "{}", flow.src_ip);
-            out.field_str(self.f_src_ip, &self.ip_buf);
-            out.field_u64(self.f_t_ns, packet.ts_ns);
+            out.field_str(self.f.kind, "response");
+            out.field_u64(self.f.status, u64::from(status));
+            field_ip(out, self.f.src_ip, flow.src_ip);
+            out.field_u64(self.f.t_ns, packet.ts_ns);
             out.end_row();
         }
     }
@@ -126,7 +67,8 @@ impl Parser for HttpGetParser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netalytics_data::Value;
+    use crate::parser::tests::parse_rows;
+    use netalytics_data::DataTuple;
     use netalytics_packet::TcpFlags;
     use std::net::Ipv4Addr;
 
@@ -134,12 +76,7 @@ mod tests {
     const S: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
 
     fn parse(pkts: &[Packet]) -> Vec<DataTuple> {
-        let mut p = HttpGetParser::new();
-        let mut out = Vec::new();
-        for pkt in pkts {
-            p.on_packet(pkt, &mut out);
-        }
-        out
+        parse_rows(&mut HttpGetParser::new(), pkts)
     }
 
     #[test]
@@ -165,41 +102,26 @@ mod tests {
             &http::build_response(200, b"data"),
         );
         let out = parse(&[req, resp]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].get("url").and_then(Value::as_str), Some("/videos/7"));
-        assert_eq!(out[1].get("status").and_then(Value::as_u64), Some(200));
         assert_eq!(out[0].id, out[1].id, "request/response join on one ID");
-    }
-
-    #[test]
-    fn native_columnar_path_matches_row_path_exactly() {
-        let req = Packet::tcp(
-            C,
-            4000,
-            S,
-            80,
-            TcpFlags::PSH | TcpFlags::ACK,
-            1,
-            1,
-            &http::build_get("/videos/7", "s"),
+        // Field names, order and value types, as the processors read them.
+        let id = out[0].id;
+        assert_eq!(
+            out,
+            [
+                DataTuple::new(id, 0)
+                    .from_source("http_get")
+                    .with("kind", "request")
+                    .with("url", "/videos/7")
+                    .with("dst_ip", "10.0.0.9")
+                    .with("t_ns", 0u64),
+                DataTuple::new(id, 0)
+                    .from_source("http_get")
+                    .with("kind", "response")
+                    .with("status", 200u64)
+                    .with("src_ip", "10.0.0.9")
+                    .with("t_ns", 0u64),
+            ]
         );
-        let resp = Packet::tcp(
-            S,
-            80,
-            C,
-            4000,
-            TcpFlags::PSH | TcpFlags::ACK,
-            1,
-            2,
-            &http::build_response(200, b"data"),
-        );
-        let rows = parse(&[req.clone(), resp.clone()]);
-        let mut p = HttpGetParser::new();
-        let mut b = netalytics_data::BatchBuilder::new();
-        p.on_packet_columns(&req, &mut b);
-        p.on_packet_columns(&resp, &mut b);
-        let back: Vec<DataTuple> = b.finish().to_batch().into_tuples();
-        assert_eq!(back, rows, "field order, types and ids all agree");
     }
 
     #[test]

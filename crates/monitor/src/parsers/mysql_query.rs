@@ -9,15 +9,17 @@
 
 use std::collections::HashMap;
 
-use netalytics_data::DataTuple;
+use netalytics_data::BatchBuilder;
 use netalytics_packet::{mysql, Packet};
 
+use super::{field_ip, Fields};
 use crate::parser::Parser;
 
 /// Pairs `COM_QUERY` packets with the next server response on the same
 /// connection and emits one tuple per query with its latency.
 #[derive(Debug, Default)]
 pub struct MysqlQueryParser {
+    f: Fields,
     /// Per-connection FIFO of outstanding (sql, sent_ns) queries.
     outstanding: HashMap<u64, Vec<(String, u64)>>,
 }
@@ -39,7 +41,7 @@ impl Parser for MysqlQueryParser {
         "mysql_query"
     }
 
-    fn on_packet(&mut self, packet: &Packet, out: &mut Vec<DataTuple>) {
+    fn on_packet_columns(&mut self, packet: &Packet, out: &mut BatchBuilder) {
         let Ok(view) = packet.view() else { return };
         if view.tcp.is_none() || view.payload.is_empty() {
             return;
@@ -63,13 +65,11 @@ impl Parser for MysqlQueryParser {
                 if !queue.is_empty() {
                     let (sql, sent_ns) = queue.remove(0);
                     let rt_ms = packet.ts_ns.saturating_sub(sent_ns) as f64 / 1e6;
-                    out.push(
-                        DataTuple::new(conn, packet.ts_ns)
-                            .from_source(self.name())
-                            .with("sql", sql)
-                            .with("rt_ms", rt_ms)
-                            .with("dst_ip", flow.src_ip.to_string()),
-                    );
+                    out.begin_row(conn, packet.ts_ns, "mysql_query");
+                    out.field_str(self.f.sql, &sql);
+                    out.field_f64(self.f.rt_ms, rt_ms);
+                    field_ip(out, self.f.dst_ip, flow.src_ip);
+                    out.end_row();
                 }
             }
         }
@@ -79,7 +79,8 @@ impl Parser for MysqlQueryParser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netalytics_data::Value;
+    use crate::parser::tests::parse_rows;
+    use netalytics_data::{DataTuple, Value};
     use netalytics_packet::TcpFlags;
     use std::net::Ipv4Addr;
 
@@ -117,24 +118,32 @@ mod tests {
     #[test]
     fn pairs_query_with_response() {
         let mut p = MysqlQueryParser::new();
-        let mut out = Vec::new();
-        p.on_packet(&query_pkt("SELECT 1", 1_000_000), &mut out);
+        assert!(parse_rows(&mut p, &[query_pkt("SELECT 1", 1_000_000)]).is_empty());
         assert_eq!(p.outstanding_len(), 1);
-        p.on_packet(&ok_pkt(3_000_000), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].get("sql").and_then(Value::as_str), Some("SELECT 1"));
-        assert_eq!(out[0].get("rt_ms").and_then(Value::as_f64), Some(2.0));
+        let out = parse_rows(&mut p, &[ok_pkt(3_000_000)]);
+        // Field names, order and value types, as the processors read them.
+        assert_eq!(
+            out,
+            [DataTuple::new(out[0].id, 3_000_000)
+                .from_source("mysql_query")
+                .with("sql", "SELECT 1")
+                .with("rt_ms", 2.0)
+                .with("dst_ip", "10.0.0.6")]
+        );
         assert_eq!(p.outstanding_len(), 0);
     }
 
     #[test]
     fn pipelined_queries_pair_in_order() {
-        let mut p = MysqlQueryParser::new();
-        let mut out = Vec::new();
-        p.on_packet(&query_pkt("Q1", 0), &mut out);
-        p.on_packet(&query_pkt("Q2", 1_000_000), &mut out);
-        p.on_packet(&ok_pkt(2_000_000), &mut out);
-        p.on_packet(&ok_pkt(5_000_000), &mut out);
+        let out = parse_rows(
+            &mut MysqlQueryParser::new(),
+            &[
+                query_pkt("Q1", 0),
+                query_pkt("Q2", 1_000_000),
+                ok_pkt(2_000_000),
+                ok_pkt(5_000_000),
+            ],
+        );
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].get("sql").and_then(Value::as_str), Some("Q1"));
         assert_eq!(out[1].get("sql").and_then(Value::as_str), Some("Q2"));
@@ -143,17 +152,11 @@ mod tests {
 
     #[test]
     fn response_without_query_is_ignored() {
-        let mut p = MysqlQueryParser::new();
-        let mut out = Vec::new();
-        p.on_packet(&ok_pkt(1), &mut out);
-        assert!(out.is_empty());
+        assert!(parse_rows(&mut MysqlQueryParser::new(), &[ok_pkt(1)]).is_empty());
     }
 
     #[test]
     fn result_set_also_completes_query() {
-        let mut p = MysqlQueryParser::new();
-        let mut out = Vec::new();
-        p.on_packet(&query_pkt("SELECT * FROM t", 0), &mut out);
         let rs = Packet::tcp(
             S,
             3306,
@@ -165,7 +168,10 @@ mod tests {
             &mysql::build_result_set(1, 3),
         )
         .at_time(7_000_000);
-        p.on_packet(&rs, &mut out);
+        let out = parse_rows(
+            &mut MysqlQueryParser::new(),
+            &[query_pkt("SELECT * FROM t", 0), rs],
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("rt_ms").and_then(Value::as_f64), Some(7.0));
     }

@@ -5,16 +5,17 @@
 //! SYN or FIN flag is seen" (§6.1), tagged so the `diff` processor block
 //! can subtract start from end per connection.
 
-use netalytics_data::DataTuple;
-use netalytics_packet::{Packet, TcpFlags};
+use netalytics_data::BatchBuilder;
+use netalytics_packet::{FlowKey, IpProto, Packet, TcpFlags};
 
+use super::{field_ip, Fields};
 use crate::parser::Parser;
 
 /// Emits `start`/`end` events keyed by the direction-independent flow
 /// hash, so both connection halves aggregate under one ID.
 #[derive(Debug, Default)]
 pub struct TcpConnTimeParser {
-    _private: (),
+    f: Fields,
 }
 
 impl TcpConnTimeParser {
@@ -29,7 +30,7 @@ impl Parser for TcpConnTimeParser {
         "tcp_conn_time"
     }
 
-    fn on_packet(&mut self, packet: &Packet, out: &mut Vec<DataTuple>) {
+    fn on_packet_columns(&mut self, packet: &Packet, out: &mut BatchBuilder) {
         let Ok(view) = packet.view() else { return };
         let (Some(ip), Some(tcp)) = (view.ipv4, view.tcp) else {
             return;
@@ -43,50 +44,38 @@ impl Parser for TcpConnTimeParser {
         } else {
             return;
         };
-        let flow = packet.flow_key().expect("tcp view implies flow key");
+        let flow = FlowKey::new(ip.src, tcp.src_port, ip.dst, tcp.dst_port, IpProto::Tcp);
+        let canon = flow.canonical();
         // Orient addressing by the connection initiator: for `start` the
         // packet already flows initiator->server; for `end` either side
         // may close, so report the canonical server side as dst.
-        let (src_ip, dst_ip) = if event == "start" || flow.canonical() == flow {
-            (ip.src, ip.dst)
+        let (src_ip, dst_ip, dst_port) = if event == "start" || canon == flow {
+            (ip.src, ip.dst, tcp.dst_port)
         } else {
-            (ip.dst, ip.src)
+            (ip.dst, ip.src, canon.dst_port)
         };
-        out.push(
-            DataTuple::new(flow.canonical_hash(), packet.ts_ns)
-                .from_source(self.name())
-                .with("event", event)
-                .with("t_ns", packet.ts_ns)
-                .with("src_ip", src_ip.to_string())
-                .with("dst_ip", dst_ip.to_string())
-                .with(
-                    "dst_port",
-                    if event == "start" {
-                        tcp.dst_port
-                    } else {
-                        flow.canonical().dst_port
-                    },
-                ),
-        );
+        out.begin_row(canon.stable_hash(), packet.ts_ns, "tcp_conn_time");
+        out.field_str(self.f.event, event);
+        out.field_u64(self.f.t_ns, packet.ts_ns);
+        field_ip(out, self.f.src_ip, src_ip);
+        field_ip(out, self.f.dst_ip, dst_ip);
+        out.field_u64(self.f.dst_port, u64::from(dst_port));
+        out.end_row();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netalytics_data::Value;
+    use crate::parser::tests::parse_rows;
+    use netalytics_data::{DataTuple, Value};
     use std::net::Ipv4Addr;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
     fn run(pkts: &[Packet]) -> Vec<DataTuple> {
-        let mut p = TcpConnTimeParser::new();
-        let mut out = Vec::new();
-        for pkt in pkts {
-            p.on_packet(pkt, &mut out);
-        }
-        out
+        parse_rows(&mut TcpConnTimeParser::new(), pkts)
     }
 
     #[test]
@@ -98,10 +87,20 @@ mod tests {
         let out = run(&[syn, fin]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].get("event").and_then(Value::as_str), Some("start"));
-        assert_eq!(out[1].get("event").and_then(Value::as_str), Some("end"));
         assert_eq!(out[0].id, out[1].id, "start/end must join on one ID");
         assert_eq!(out[0].get("t_ns").and_then(Value::as_u64), Some(100));
-        assert_eq!(out[1].get("t_ns").and_then(Value::as_u64), Some(5_100));
+        // Field names, order and value types, as the processors read
+        // them; the server-side close still reports the server as dst.
+        assert_eq!(
+            out[1],
+            DataTuple::new(out[0].id, 5_100)
+                .from_source("tcp_conn_time")
+                .with("event", "end")
+                .with("t_ns", 5_100u64)
+                .with("src_ip", "10.0.0.1")
+                .with("dst_ip", "10.0.0.2")
+                .with("dst_port", 80u64)
+        );
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! `tcp_flow_key` — extract the transport 5-tuple (Table 1, Net layer).
 
-use netalytics_data::DataTuple;
+use netalytics_data::BatchBuilder;
 use netalytics_packet::Packet;
 
+use super::{field_ip, Fields};
 use crate::parser::Parser;
 
-/// Emits one tuple per TCP packet carrying the flow's addressing.
+/// Emits one row per TCP packet carrying the flow's addressing.
 ///
-/// The tuple ID is the flow's stable hash, letting processors join this
+/// The row ID is the flow's stable hash, letting processors join this
 /// addressing information with measurements from other parsers.
 #[derive(Debug, Default)]
 pub struct TcpFlowKeyParser {
-    emitted: u64,
+    f: Fields,
 }
 
 impl TcpFlowKeyParser {
@@ -26,29 +27,27 @@ impl Parser for TcpFlowKeyParser {
         "tcp_flow_key"
     }
 
-    fn on_packet(&mut self, packet: &Packet, out: &mut Vec<DataTuple>) {
+    fn on_packet_columns(&mut self, packet: &Packet, out: &mut BatchBuilder) {
         let Some(flow) = packet.flow_key() else {
             return;
         };
         if flow.proto != 6 {
             return;
         }
-        self.emitted += 1;
-        out.push(
-            DataTuple::new(flow.stable_hash(), packet.ts_ns)
-                .from_source(self.name())
-                .with("src_ip", flow.src_ip.to_string())
-                .with("dst_ip", flow.dst_ip.to_string())
-                .with("src_port", flow.src_port)
-                .with("dst_port", flow.dst_port),
-        );
+        out.begin_row(flow.stable_hash(), packet.ts_ns, "tcp_flow_key");
+        field_ip(out, self.f.src_ip, flow.src_ip);
+        field_ip(out, self.f.dst_ip, flow.dst_ip);
+        out.field_u64(self.f.src_port, u64::from(flow.src_port));
+        out.field_u64(self.f.dst_port, u64::from(flow.dst_port));
+        out.end_row();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netalytics_data::Value;
+    use crate::parser::tests::parse_rows;
+    use netalytics_data::DataTuple;
     use netalytics_packet::TcpFlags;
     use std::net::Ipv4Addr;
 
@@ -65,21 +64,22 @@ mod tests {
             0,
             b"",
         );
-        let mut out = Vec::new();
-        p.on_packet(&pkt, &mut out);
-        assert_eq!(out.len(), 1);
+        let out = parse_rows(&mut p, std::slice::from_ref(&pkt));
+        // Field names, order and value types, as the processors read them.
         assert_eq!(
-            out[0].get("src_ip").and_then(Value::as_str),
-            Some("10.0.2.8")
+            out,
+            [DataTuple::new(pkt.flow_key().unwrap().stable_hash(), 0)
+                .from_source("tcp_flow_key")
+                .with("src_ip", "10.0.2.8")
+                .with("dst_ip", "10.0.2.9")
+                .with("src_port", 5555u64)
+                .with("dst_port", 80u64)]
         );
-        assert_eq!(out[0].get("dst_port").and_then(Value::as_u64), Some(80));
-        assert_eq!(out[0].id, pkt.flow_key().unwrap().stable_hash());
     }
 
     #[test]
     fn skips_udp_and_garbage() {
         let mut p = TcpFlowKeyParser::new();
-        let mut out = Vec::new();
         let udp = Packet::udp(
             Ipv4Addr::new(1, 1, 1, 1),
             1,
@@ -87,9 +87,7 @@ mod tests {
             2,
             b"",
         );
-        p.on_packet(&udp, &mut out);
         let junk = Packet::from_bytes(bytes::Bytes::from_static(b"nonsense"), 0);
-        p.on_packet(&junk, &mut out);
-        assert!(out.is_empty());
+        assert!(parse_rows(&mut p, &[udp, junk]).is_empty());
     }
 }

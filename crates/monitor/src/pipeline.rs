@@ -9,14 +9,12 @@
 //!   [`bytes::Bytes`]) into each parser's queue — no payload copies;
 //! * each **parser** runs on its own worker thread(s) with a bounded
 //!   queue; a full queue drops descriptors early (the adaptive-sampling
-//!   load-shedding of §5.1);
-//! * the **output interface** batches tuples and hands them to a sink.
-//!
-//! With [`PipelineConfig::columnar`] set, the parser→output seam runs the
-//! columnar fast lane instead: workers parse straight into
-//! [`BatchBuilder`]s (interned field ids, typed columns) and hand sealed
-//! [`ColumnBatch`]es over lock-free SPSC rings to one shipper thread
-//! that ships via [`BatchSink::ship_columns`].
+//!   load-shedding of §5.1). A worker drives one lane core
+//!   ([`crate::lane`]) — the same one [`crate::Monitor`] drives — on the
+//!   wall clock, and hands sealed [`ColumnBatch`]es over a lock-free SPSC
+//!   ring;
+//! * the **output interface** is one shipper thread that drains every
+//!   worker ring into the sink via [`BatchSink::ship_columns`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,16 +22,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use netalytics_data::{
-    spsc, BatchBuilder, BatchSink, ColumnBatch, Consumer, DataTuple, PopError, Producer, PushError,
-    TraceCtx, TupleBatch,
-};
+use netalytics_data::{spsc, BatchSink, ColumnBatch, Consumer, PopError, Producer, PushError};
 use netalytics_packet::Packet;
 use netalytics_sketch::{PreAgg, PreAggSpec};
 use netalytics_telemetry::{wall_now_ns, Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 
+use crate::lane::{Lane, LaneStats};
 use crate::monitor::MonitorError;
-use crate::parser::{make_parser, Parser};
+use crate::parser::make_parser;
 use crate::sampler::{FlowSampler, SampleSpec};
 
 /// Configuration of a threaded pipeline.
@@ -54,7 +50,10 @@ pub struct PipelineConfig {
     pub input_depth: usize,
     /// Depth of each parser queue.
     pub parser_depth: usize,
-    /// Tuples per output batch.
+    /// Rows per output batch. A worker also flushes its parser and seals
+    /// whatever it holds once this many *packets* went by since the last
+    /// flush, so a parser that aggregates across packets stays bounded
+    /// and current.
     pub batch_size: usize,
     /// Optional metrics registry: when set, pipeline counters register as
     /// `monitor.*` series and the workers additionally record per-parser
@@ -63,25 +62,24 @@ pub struct PipelineConfig {
     /// How often the collector refreshes the pipeline's wall-clock
     /// heartbeat even when no packets arrive. An orchestrator that polls
     /// [`Pipeline::heartbeat_age`] declares the monitor dead once the age
-    /// exceeds a few intervals.
+    /// exceeds a few intervals. A worker whose queue stays empty this
+    /// long flushes and ships what it holds, so a trickle's rows are not
+    /// held back waiting for a full batch.
     pub heartbeat_interval: Duration,
-    /// When set, each parser worker folds covered tuples into its own
-    /// bounded sketch and ships periodic deltas instead of raw tuples
+    /// When set, each parser worker folds covered rows into its own
+    /// bounded sketch and ships periodic deltas instead of raw rows
     /// (deltas from different workers merge downstream, so totals are
     /// preserved).
     pub preagg: Option<PreAggSpec>,
-    /// Route parser output through the columnar fast lane: each worker
-    /// appends emissions into a [`BatchBuilder`], seals a [`ColumnBatch`]
-    /// every `batch_size` rows, and hands it over a lock-free SPSC ring
-    /// to a single shipper thread (ships via
-    /// [`BatchSink::ship_columns`], or converts to rows for the
-    /// [`Pipeline::batches`] channel). Ignored — the row path runs —
-    /// when `preagg` is also set, because sketch folding consumes row
-    /// tuples.
+    /// Inert: read nowhere. It once selected between a row lane and the
+    /// columnar lane; the columnar lane is now the only one. The field
+    /// stays declared only because the end-to-end benchmark's frozen
+    /// `e2ebench/src/sut.rs` still sets it; the next change to that file
+    /// drops both.
     pub columnar: bool,
     /// Query-scoped tracing as `(cookie, tracer)`: parser workers
     /// head-sample sealed batches per the tracer's config, stamp them
-    /// with a [`TraceCtx`] for downstream stages, and record a `parse`
+    /// with a trace context for downstream stages, and record a `parse`
     /// span (batch open → seal, wall clock).
     pub tracing: Option<(u64, Arc<Tracer>)>,
 }
@@ -103,9 +101,6 @@ impl Default for PipelineConfig {
         }
     }
 }
-
-/// Folded tuples a worker accumulates before shipping a sketch delta.
-const PREAGG_FLUSH_TUPLES: u64 = 1024;
 
 /// Shared pipeline counters — telemetry [`Counter`]s, so a pipeline built
 /// with [`PipelineConfig::metrics`] shares these very cells with the
@@ -150,6 +145,13 @@ impl PipelineCounters {
             sketches_out: counter("monitor.sketches_out"),
         }
     }
+
+    fn absorb(&self, lane: LaneStats) {
+        self.tuples_out.add(lane.tuples_out);
+        self.bytes_out.add(lane.bytes_out);
+        self.tuples_folded.add(lane.tuples_folded);
+        self.sketches_out.add(lane.sketches_out);
+    }
 }
 
 /// Per-worker instruments, present only when the pipeline has a registry.
@@ -164,13 +166,12 @@ struct WorkerTelemetry {
 /// pipeline stays within the ≤5 % overhead budget.
 const LATENCY_SAMPLE: u64 = 32;
 
-/// Sealed column batches queued per worker ring on the columnar lane.
-const COLUMNAR_RING_DEPTH: usize = 64;
+/// Sealed column batches queued per worker ring.
+const RING_DEPTH: usize = 64;
 
 /// Blocking push onto a worker's output ring: spins (yielding) while the
 /// shipper catches up. A disconnected shipper means the pipeline is
-/// tearing down, so the batch is dropped — same contract as a closed
-/// output channel on the row path.
+/// tearing down, so the batch is dropped.
 fn push_blocking(ring: &mut Producer<ColumnBatch>, mut batch: ColumnBatch) {
     loop {
         match ring.push(batch) {
@@ -184,114 +185,99 @@ fn push_blocking(ring: &mut Producer<ColumnBatch>, mut batch: ColumnBatch) {
     }
 }
 
-/// Head-samples a freshly sealed column batch: stamps the trace context
-/// and records the `parse` span (batch open → seal, wall clock).
-fn stamp_columns(
-    batch: &mut ColumnBatch,
-    tracing: &Option<(u64, Arc<Tracer>)>,
-    widx: usize,
-    open_ns: &mut Option<u64>,
-) {
-    let Some((cookie, tracer)) = tracing else {
-        return;
-    };
-    let born_ns = open_ns.take().unwrap_or_else(wall_now_ns);
-    if let Some(batch_id) = tracer.sample_batch() {
-        let now = wall_now_ns();
-        batch.set_trace(Some(TraceCtx {
-            cookie: *cookie,
-            batch_id,
-            born_ns,
-        }));
-        tracer.record_span(widx, *cookie, batch_id, born_ns, "parse", born_ns, now);
-    }
-}
-
-/// Row-path twin of [`stamp_columns`].
-fn stamp_rows(
-    batch: &mut TupleBatch,
-    tracing: &Option<(u64, Arc<Tracer>)>,
-    widx: usize,
-    open_ns: &mut Option<u64>,
-) {
-    let Some((cookie, tracer)) = tracing else {
-        return;
-    };
-    let born_ns = open_ns.take().unwrap_or_else(wall_now_ns);
-    if let Some(batch_id) = tracer.sample_batch() {
-        let now = wall_now_ns();
-        batch.trace = Some(TraceCtx {
-            cookie: *cookie,
-            batch_id,
-            born_ns,
-        });
-        tracer.record_span(widx, *cookie, batch_id, born_ns, "parse", born_ns, now);
-    }
-}
-
-/// Body of one columnar parser worker: parse straight into a
-/// [`BatchBuilder`], seal every `batch_size` rows, and push the sealed
-/// [`ColumnBatch`] onto this worker's SPSC ring (one producer — this
-/// thread; one consumer — the shipper).
-fn columnar_worker(
-    mut parser: Box<dyn Parser>,
+/// One parser worker: its lane, the queue feeding it, and the SPSC ring
+/// it hands sealed batches over (one producer — this thread; one
+/// consumer — the shipper).
+struct Worker {
+    lane: Lane,
     prx: Receiver<Packet>,
-    mut ring: Producer<ColumnBatch>,
-    batch_size: usize,
+    ring: Producer<ColumnBatch>,
+    counters: Arc<PipelineCounters>,
     telemetry: Option<WorkerTelemetry>,
-    widx: usize,
-    tracing: Option<(u64, Arc<Tracer>)>,
-) {
-    let mut builder = BatchBuilder::new();
-    let mut seen = 0u64;
-    // Wall time the in-progress batch received its first row.
-    let mut open_ns: Option<u64> = None;
-    while let Ok(pkt) = prx.recv() {
-        seen += 1;
-        if telemetry.is_some() && seen.is_multiple_of(LATENCY_SAMPLE) {
-            let t0 = Instant::now();
-            parser.on_packet_columns(&pkt, &mut builder);
-            if let Some(tel) = &telemetry {
-                tel.parse_latency.record(t0.elapsed().as_nanos() as u64);
-            }
-        } else {
-            parser.on_packet_columns(&pkt, &mut builder);
-        }
-        if tracing.is_some() && open_ns.is_none() && builder.rows() > 0 {
-            open_ns = Some(wall_now_ns());
-        }
-        if builder.rows() >= batch_size {
-            let mut batch = builder.finish();
-            stamp_columns(&mut batch, &tracing, widx, &mut open_ns);
-            if let Some(tel) = &telemetry {
-                tel.batch_size.record(batch.rows() as u64);
-                tel.queue_depth.set(prx.len() as i64);
-            }
-            push_blocking(&mut ring, batch);
-        }
-    }
-    // Input closed: final parser flush, then the residual batch.
-    parser.flush_columns(0, &mut builder);
-    if !builder.is_empty() {
-        let mut batch = builder.finish();
-        stamp_columns(&mut batch, &tracing, widx, &mut open_ns);
-        if let Some(tel) = &telemetry {
+}
+
+impl Worker {
+    /// Seals the lane at its event time — the newest capture stamp it has
+    /// seen, as `spout::drive`'s watermark — and ships the batch, if any.
+    fn seal(&mut self, drain: bool) {
+        let sealed = self.lane.seal(self.lane.newest_ts(), drain, wall_now_ns);
+        self.counters.absorb(self.lane.take_stats());
+        let Some(batch) = sealed else { return };
+        if let Some(tel) = &self.telemetry {
             tel.batch_size.record(batch.rows() as u64);
+            tel.queue_depth.set(self.prx.len() as i64);
         }
-        push_blocking(&mut ring, batch);
+        push_blocking(&mut self.ring, batch);
     }
-    if let Some(tel) = &telemetry {
-        tel.queue_depth.set(0);
+
+    /// Runs until the collector closes the queue. A queue that stays
+    /// empty for `idle` drains the lane, so nothing waits on traffic that
+    /// may never come.
+    fn run(mut self, idle: Duration) {
+        let mut seen = 0u64;
+        loop {
+            let pkt = match self.prx.recv_timeout(idle) {
+                Ok(pkt) => pkt,
+                Err(RecvTimeoutError::Timeout) => {
+                    self.seal(true);
+                    continue;
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            seen += 1;
+            let due = match &self.telemetry {
+                Some(tel) if seen.is_multiple_of(LATENCY_SAMPLE) => {
+                    let t0 = Instant::now();
+                    let due = self.lane.offer(&pkt, wall_now_ns);
+                    tel.parse_latency.record(t0.elapsed().as_nanos() as u64);
+                    due
+                }
+                _ => self.lane.offer(&pkt, wall_now_ns),
+            };
+            if due {
+                self.seal(false);
+            }
+        }
+        self.seal(true);
+        if let Some(tel) = &self.telemetry {
+            tel.queue_depth.set(0);
+        }
+    }
+}
+
+/// Body of the shipper thread: drains every worker ring (each ring keeps
+/// exactly one producer and one consumer) into the sink until all
+/// workers are gone.
+fn ship_rings(mut rings: Vec<Consumer<ColumnBatch>>, sink: &dyn BatchSink) {
+    let mut alive = vec![true; rings.len()];
+    while alive.contains(&true) {
+        let mut idle = true;
+        for (ring, alive) in rings.iter_mut().zip(&mut alive) {
+            while *alive {
+                match ring.pop() {
+                    Ok(cols) => {
+                        idle = false;
+                        // A gone consumer means we drop output.
+                        let _ = sink.ship_columns(cols);
+                    }
+                    Err(PopError::Empty) => break,
+                    Err(PopError::Disconnected) => *alive = false,
+                }
+            }
+        }
+        if idle {
+            std::thread::sleep(Duration::from_micros(50));
+        }
     }
 }
 
 /// A running threaded monitor pipeline.
 ///
-/// Feed packets with [`Pipeline::offer`]; collect output batches from
-/// [`Pipeline::batches`]; stop with [`Pipeline::shutdown`].
+/// Feed packets with [`Pipeline::offer`]; sealed batches reach the sink
+/// given to [`Pipeline::spawn_with_sink`]; stop with
+/// [`Pipeline::shutdown`].
 pub struct Pipeline {
     input: Sender<Packet>,
-    output: Receiver<TupleBatch>,
     counters: Arc<PipelineCounters>,
     stop: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
@@ -309,21 +295,9 @@ impl std::fmt::Debug for Pipeline {
 }
 
 impl Pipeline {
-    /// Spawns the collector and one worker per parser. Output batches
-    /// accumulate on the internal channel, [`Pipeline::batches`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError`] for an empty or unknown parser list.
-    pub fn spawn(config: PipelineConfig) -> Result<Self, MonitorError> {
-        Self::spawn_inner(config, None)
-    }
-
-    /// Spawns the pipeline with its output interface wired straight into
-    /// `sink` — parser workers [`ship`](BatchSink::ship) each full batch
-    /// from their own thread, so no relay threads sit between the monitor
-    /// and the aggregation layer. [`Pipeline::batches`] stays empty in
-    /// this mode.
+    /// Spawns the collector, one worker per parser (times
+    /// `workers_per_parser`) and the shipper that hands every sealed
+    /// batch to `sink` via [`BatchSink::ship_columns`].
     ///
     /// # Errors
     ///
@@ -331,13 +305,6 @@ impl Pipeline {
     pub fn spawn_with_sink(
         config: PipelineConfig,
         sink: Arc<dyn BatchSink>,
-    ) -> Result<Self, MonitorError> {
-        Self::spawn_inner(config, Some(sink))
-    }
-
-    fn spawn_inner(
-        config: PipelineConfig,
-        sink: Option<Arc<dyn BatchSink>>,
     ) -> Result<Self, MonitorError> {
         if config.parsers.is_empty() {
             return Err(MonitorError::NoParsers);
@@ -351,25 +318,23 @@ impl Pipeline {
         let counters = Arc::new(PipelineCounters::new(config.metrics.as_deref()));
         let stop = Arc::new(AtomicBool::new(false));
         let (in_tx, in_rx) = bounded::<Packet>(config.input_depth);
-        let (out_tx, out_rx) = bounded::<TupleBatch>(config.input_depth);
+        let beat_every = config.heartbeat_interval.max(Duration::from_millis(1));
 
         let mut handles = Vec::new();
         // Per parser: the worker queues its dispatcher fans into (Fig. 3's
         // two-level queuing — one instance per worker, flow-consistent).
         let mut parser_txs: Vec<Vec<Sender<Packet>>> = Vec::new();
         let workers = config.workers_per_parser.max(1);
-        // Pre-aggregation folds row tuples, so it keeps the row path.
-        let columnar = config.columnar && config.preagg.is_none();
-        // Consumer halves of the columnar worker rings (shipper-owned).
-        let mut col_rings: Vec<Consumer<ColumnBatch>> = Vec::new();
+        // Consumer halves of the worker rings (shipper-owned).
+        let mut rings: Vec<Consumer<ColumnBatch>> = Vec::new();
 
         for name in &config.parsers {
             let mut worker_txs = Vec::with_capacity(workers);
             for w in 0..workers {
                 let (ptx, prx) = bounded::<Packet>(config.parser_depth);
                 worker_txs.push(ptx);
-                let mut parser = make_parser(name).expect("validated above");
-                let batch_size = config.batch_size.max(1);
+                let (ring, ring_rx) = spsc::<ColumnBatch>(RING_DEPTH);
+                rings.push(ring_rx);
                 let telemetry = config.metrics.as_deref().map(|m| {
                     let worker = w.to_string();
                     let l: &[(&str, &str)] = &[("parser", name), ("worker", &worker)];
@@ -379,181 +344,34 @@ impl Pipeline {
                         parse_latency: m.histogram("monitor.parse_latency_ns", &[("parser", name)]),
                     }
                 });
-                // Stable worker index, used to pick a tracer span shard.
-                let widx = handles.len();
-                if columnar {
-                    let (tx, rx) = spsc::<ColumnBatch>(COLUMNAR_RING_DEPTH);
-                    col_rings.push(rx);
-                    let tracing = config.tracing.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("parser-{name}-{w}"))
-                        .spawn(move || {
-                            columnar_worker(parser, prx, tx, batch_size, telemetry, widx, tracing)
-                        })
-                        .expect("spawn parser thread");
-                    handles.push(handle);
-                    continue;
-                }
-                let out_tx = out_tx.clone();
-                let sink = sink.clone();
-                let counters = counters.clone();
-                let preagg_spec = config.preagg.clone();
-                let tracing = config.tracing.clone();
+                let worker = Worker {
+                    lane: Lane::new(
+                        vec![make_parser(name).expect("validated above")],
+                        config.batch_size,
+                        config.preagg.clone().map(PreAgg::new),
+                        config.tracing.clone(),
+                        // Stable worker index: picks a tracer span shard.
+                        handles.len(),
+                    ),
+                    prx,
+                    ring,
+                    counters: counters.clone(),
+                    telemetry,
+                };
                 let handle = std::thread::Builder::new()
                     .name(format!("parser-{name}-{w}"))
-                    .spawn(move || {
-                        let mut pending: Vec<DataTuple> = Vec::with_capacity(batch_size);
-                        let flush_to_sink =
-                            |pending: &mut Vec<DataTuple>, open_ns: &mut Option<u64>| {
-                                if pending.is_empty() {
-                                    return;
-                                }
-                                let mut batch = TupleBatch::from_tuples(std::mem::take(pending));
-                                stamp_rows(&mut batch, &tracing, widx, open_ns);
-                                counters.tuples_out.add(batch.len() as u64);
-                                counters.bytes_out.add(batch.wire_size() as u64);
-                                if let Some(tel) = &telemetry {
-                                    tel.batch_size.record(batch.len() as u64);
-                                    tel.queue_depth.set(prx.len() as i64);
-                                }
-                                // If the consumer went away we just drop output.
-                                match &sink {
-                                    Some(s) => {
-                                        let _ = s.ship(batch);
-                                    }
-                                    None => {
-                                        let _ = out_tx.send(batch);
-                                    }
-                                }
-                            };
-                        let mut preagg = preagg_spec.map(PreAgg::new);
-                        let mut last_ts = 0u64;
-                        // Folds `pending[start..]` into the worker's
-                        // sketch; uncovered tuples stay raw.
-                        let fold = |pa: &mut Option<PreAgg>,
-                                    pending: &mut Vec<DataTuple>,
-                                    start: usize,
-                                    last_ts: &mut u64| {
-                            let Some(pa) = pa.as_mut() else { return };
-                            let tail: Vec<DataTuple> = pending.drain(start..).collect();
-                            for t in tail {
-                                if pa.offer(&t) {
-                                    *last_ts = (*last_ts).max(t.ts_ns);
-                                    counters.tuples_folded.inc();
-                                } else {
-                                    pending.push(t);
-                                }
-                            }
-                        };
-                        let mut seen = 0u64;
-                        // Wall time the in-progress batch got its first tuple.
-                        let mut open_ns: Option<u64> = None;
-                        while let Ok(pkt) = prx.recv() {
-                            seen += 1;
-                            let start = pending.len();
-                            if telemetry.is_some() && seen.is_multiple_of(LATENCY_SAMPLE) {
-                                let t0 = std::time::Instant::now();
-                                parser.on_packet(&pkt, &mut pending);
-                                if let Some(tel) = &telemetry {
-                                    tel.parse_latency.record(t0.elapsed().as_nanos() as u64);
-                                }
-                            } else {
-                                parser.on_packet(&pkt, &mut pending);
-                            }
-                            fold(&mut preagg, &mut pending, start, &mut last_ts);
-                            if let Some(pa) = &mut preagg {
-                                if pa.folded() >= PREAGG_FLUSH_TUPLES {
-                                    if let Some(delta) = pa.take_delta(last_ts, last_ts) {
-                                        counters.sketches_out.inc();
-                                        pending.push(delta);
-                                    }
-                                }
-                            }
-                            if tracing.is_some() && open_ns.is_none() && !pending.is_empty() {
-                                open_ns = Some(wall_now_ns());
-                            }
-                            if pending.len() >= batch_size {
-                                flush_to_sink(&mut pending, &mut open_ns);
-                            }
-                        }
-                        // Input closed: final flush (aggregating parsers),
-                        // then the residual sketch delta.
-                        let start = pending.len();
-                        parser.flush(0, &mut pending);
-                        fold(&mut preagg, &mut pending, start, &mut last_ts);
-                        if let Some(pa) = &mut preagg {
-                            if let Some(delta) = pa.take_delta(last_ts, last_ts) {
-                                counters.sketches_out.inc();
-                                pending.push(delta);
-                            }
-                        }
-                        flush_to_sink(&mut pending, &mut open_ns);
-                        if let Some(tel) = &telemetry {
-                            tel.queue_depth.set(0);
-                        }
-                    })
+                    .spawn(move || worker.run(beat_every))
                     .expect("spawn parser thread");
                 handles.push(handle);
             }
             parser_txs.push(worker_txs);
         }
 
-        // Columnar fast lane: one shipper drains every worker ring (each
-        // ring keeps exactly one producer and one consumer) and ships
-        // sealed column batches downstream without touching row form —
-        // unless output goes to the legacy batch channel.
-        if columnar {
-            let counters = counters.clone();
-            let sink = sink.clone();
-            let out_tx = out_tx.clone();
-            let mut rings = col_rings;
-            let handle = std::thread::Builder::new()
-                .name("col-shipper".into())
-                .spawn(move || {
-                    let mut alive = vec![true; rings.len()];
-                    loop {
-                        let mut idle = true;
-                        for (i, ring) in rings.iter_mut().enumerate() {
-                            if !alive[i] {
-                                continue;
-                            }
-                            loop {
-                                match ring.pop() {
-                                    Ok(cols) => {
-                                        idle = false;
-                                        counters.tuples_out.add(cols.rows() as u64);
-                                        counters.bytes_out.add(cols.wire_size() as u64);
-                                        // A gone consumer means we drop
-                                        // output, like the row path.
-                                        match &sink {
-                                            Some(s) => {
-                                                let _ = s.ship_columns(cols);
-                                            }
-                                            None => {
-                                                let _ = out_tx.send(cols.to_batch());
-                                            }
-                                        }
-                                    }
-                                    Err(PopError::Empty) => break,
-                                    Err(PopError::Disconnected) => {
-                                        alive[i] = false;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        if alive.iter().all(|a| !a) {
-                            return;
-                        }
-                        if idle {
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                    }
-                })
-                .expect("spawn columnar shipper");
-            handles.push(handle);
-        }
-        drop(out_tx);
+        let handle = std::thread::Builder::new()
+            .name("col-shipper".into())
+            .spawn(move || ship_rings(rings, sink.as_ref()))
+            .expect("spawn shipper thread");
+        handles.push(handle);
 
         // Collector thread.
         let epoch = Instant::now();
@@ -562,7 +380,6 @@ impl Pipeline {
             let counters = counters.clone();
             let stop = stop.clone();
             let heartbeat_ns = heartbeat_ns.clone();
-            let beat_every = config.heartbeat_interval.max(Duration::from_millis(1));
             let mut sampler = FlowSampler::new(config.sample);
             let handle = std::thread::Builder::new()
                 .name("collector".into())
@@ -608,7 +425,6 @@ impl Pipeline {
 
         Ok(Pipeline {
             input: in_tx,
-            output: out_rx,
             counters,
             stop,
             handles,
@@ -634,11 +450,6 @@ impl Pipeline {
         self.input.clone()
     }
 
-    /// The output batch stream.
-    pub fn batches(&self) -> &Receiver<TupleBatch> {
-        &self.output
-    }
-
     /// Shared counters.
     pub fn counters(&self) -> &PipelineCounters {
         &self.counters
@@ -661,23 +472,12 @@ impl Pipeline {
     }
 
     /// Stops all threads and waits for them; pending queue contents are
-    /// processed (graceful drain) unless `abandon` is set.
+    /// processed and shipped (graceful drain) unless `abandon` is set.
     pub fn shutdown(mut self, abandon: bool) -> PipelineSummary {
         if abandon {
             self.stop.store(true, Ordering::Relaxed);
         }
         drop(self.input); // closes the collector loop
-                          // Blocking drain: every worker holds an output sender it drops on
-                          // exit, so recv() hands us each buffered batch as it arrives and
-                          // disconnects exactly when the last worker is done — no polling,
-                          // and parser threads never block on a full output channel.
-        let drain: Vec<TupleBatch> = {
-            let mut v = Vec::new();
-            while let Ok(b) = self.output.recv() {
-                v.push(b);
-            }
-            v
-        };
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -690,7 +490,6 @@ impl Pipeline {
             bytes_out: self.counters.bytes_out.get(),
             tuples_folded: self.counters.tuples_folded.get(),
             sketches_out: self.counters.sketches_out.get(),
-            residual_batches: drain,
         }
     }
 }
@@ -714,243 +513,256 @@ pub struct PipelineSummary {
     pub tuples_folded: u64,
     /// Sketch delta tuples shipped.
     pub sketches_out: u64,
-    /// Batches that were still in the output channel at shutdown.
-    pub residual_batches: Vec<TupleBatch>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netalytics_data::{CollectSink, DataTuple, SinkClosed, TupleBatch};
     use netalytics_packet::{http, TcpFlags};
     use std::net::Ipv4Addr;
+    use std::sync::mpsc;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
 
-    #[test]
-    fn rejects_bad_config() {
-        assert!(Pipeline::spawn(PipelineConfig {
-            parsers: vec![],
-            ..Default::default()
-        })
-        .is_err());
-        assert!(Pipeline::spawn(PipelineConfig {
-            parsers: vec!["nope".into()],
-            ..Default::default()
-        })
-        .is_err());
-    }
-
-    #[test]
-    fn processes_packets_end_to_end() {
-        let p = Pipeline::spawn(PipelineConfig {
-            parsers: vec!["http_get".into()],
-            batch_size: 4,
-            ..Default::default()
-        })
-        .unwrap();
-        for i in 0..20 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/u{i}"), "b"),
-            ));
-        }
-        let summary = p.shutdown(false);
-        assert_eq!(summary.packets_in, 20);
-        assert_eq!(summary.tuples_out, 20);
-        let total: usize = summary.residual_batches.iter().map(TupleBatch::len).sum();
-        assert_eq!(total, 20, "all tuples must surface in batches");
-        assert!(summary.bytes_out > 0);
-    }
-
-    #[test]
-    fn two_parsers_both_see_traffic() {
-        let p = Pipeline::spawn(PipelineConfig {
-            parsers: vec!["tcp_conn_time".into(), "http_get".into()],
-            batch_size: 1,
-            ..Default::default()
-        })
-        .unwrap();
-        p.offer(Packet::tcp(A, 1, B, 80, TcpFlags::SYN, 0, 0, b""));
-        p.offer(Packet::tcp(
+    fn get(port: u16, url: &str) -> Packet {
+        Packet::tcp(
             A,
-            1,
+            port,
             B,
             80,
             TcpFlags::PSH | TcpFlags::ACK,
             1,
             1,
-            &http::build_get("/x", "b"),
-        ));
+            &http::build_get(url, "b"),
+        )
+    }
+
+    /// Spawns a pipeline into a fresh [`CollectSink`].
+    fn spawn(config: PipelineConfig) -> (Pipeline, Arc<CollectSink>) {
+        let sink = Arc::new(CollectSink::new());
+        let p = Pipeline::spawn_with_sink(config, sink.clone()).unwrap();
+        (p, sink)
+    }
+
+    fn rows(sink: &CollectSink) -> Vec<DataTuple> {
+        sink.drain().into_iter().flatten().collect()
+    }
+
+    /// Forwards each sealed batch over a channel, so a test can wait for
+    /// output while the pipeline is still running.
+    struct ChannelSink(mpsc::Sender<ColumnBatch>);
+
+    impl BatchSink for ChannelSink {
+        fn ship(&self, batch: TupleBatch) -> Result<(), SinkClosed> {
+            self.ship_columns(ColumnBatch::from_batch(&batch))
+        }
+
+        fn ship_columns(&self, columns: ColumnBatch) -> Result<(), SinkClosed> {
+            self.0.send(columns).map_err(|e| SinkClosed(e.0.to_batch()))
+        }
+    }
+
+    fn spawn_channel(config: PipelineConfig) -> (Pipeline, mpsc::Receiver<ColumnBatch>) {
+        let (tx, rx) = mpsc::channel();
+        let p = Pipeline::spawn_with_sink(config, Arc::new(ChannelSink(tx))).unwrap();
+        (p, rx)
+    }
+
+    #[test]
+    fn rejects_bad_config() {
+        let sink = Arc::new(CollectSink::new());
+        assert!(Pipeline::spawn_with_sink(
+            PipelineConfig {
+                parsers: vec![],
+                ..Default::default()
+            },
+            sink.clone()
+        )
+        .is_err());
+        assert!(Pipeline::spawn_with_sink(
+            PipelineConfig {
+                parsers: vec!["nope".into()],
+                ..Default::default()
+            },
+            sink
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn processes_packets_end_to_end() {
+        let (p, sink) = spawn(PipelineConfig {
+            parsers: vec!["http_get".into()],
+            batch_size: 4,
+            ..Default::default()
+        });
+        for i in 0..20 {
+            p.offer(get(4000 + i, &format!("/u{i}")));
+        }
         let summary = p.shutdown(false);
-        let sources: std::collections::HashSet<String> = summary
-            .residual_batches
-            .iter()
-            .flat_map(|b| b.tuples.iter().map(|t| t.source.clone()))
-            .collect();
+        assert_eq!(summary.packets_in, 20);
+        assert_eq!(summary.tuples_out, 20);
+        assert_eq!(sink.tuple_count(), 20, "all tuples reached the sink");
+        assert!(summary.bytes_out > 0);
+    }
+
+    #[test]
+    fn two_parsers_both_see_traffic() {
+        let (p, sink) = spawn(PipelineConfig {
+            parsers: vec!["tcp_conn_time".into(), "http_get".into()],
+            batch_size: 1,
+            ..Default::default()
+        });
+        p.offer(Packet::tcp(A, 1, B, 80, TcpFlags::SYN, 0, 0, b""));
+        p.offer(get(1, "/x"));
+        p.shutdown(false);
+        let sources: std::collections::HashSet<String> =
+            rows(&sink).into_iter().map(|t| t.source).collect();
         assert!(sources.contains("tcp_conn_time"), "{sources:?}");
         assert!(sources.contains("http_get"), "{sources:?}");
     }
 
     #[test]
-    fn sink_mode_ships_batches_without_relay() {
-        let sink = Arc::new(netalytics_data::CollectSink::new());
-        let p = Pipeline::spawn_with_sink(
-            PipelineConfig {
-                parsers: vec!["http_get".into()],
-                batch_size: 4,
-                ..Default::default()
-            },
-            sink.clone(),
-        )
-        .unwrap();
-        for i in 0..20 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/s{i}"), "b"),
-            ));
+    fn a_trickle_reaches_the_sink_while_the_pipeline_runs() {
+        let (p, rx) = spawn_channel(PipelineConfig {
+            parsers: vec!["http_get".into()],
+            batch_size: 128,
+            heartbeat_interval: Duration::from_millis(5),
+            ..Default::default()
+        });
+        for i in 0..10 {
+            p.offer(get(4000 + i, &format!("/t{i}")));
         }
-        let summary = p.shutdown(false);
-        assert_eq!(summary.tuples_out, 20);
-        assert!(
-            summary.residual_batches.is_empty(),
-            "sink mode bypasses the internal channel"
+        // Far fewer rows than a batch, and no more traffic coming: the
+        // idle flush must ship them without waiting for shutdown.
+        let mut got = 0;
+        while got < 10 {
+            got += rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("rows held hostage until shutdown")
+                .rows();
+        }
+        assert_eq!(got, 10);
+        assert_eq!(p.shutdown(false).tuples_out, 10);
+    }
+
+    #[test]
+    fn an_aggregating_parser_flushes_while_the_pipeline_runs() {
+        let batch_size = 16;
+        let (p, rx) = spawn_channel(PipelineConfig {
+            parsers: vec!["tcp_pkt_size".into()],
+            batch_size,
+            // Only the packet count may trigger the flush here.
+            heartbeat_interval: Duration::from_secs(3600),
+            ..Default::default()
+        });
+        for i in 0..10 * batch_size as u64 {
+            p.offer(Packet::tcp(A, 4000, B, 80, TcpFlags::ACK, 0, 0, &[0u8; 100]).at_time(1 + i));
+        }
+        // tcp_pkt_size emits only on flush: every `batch_size` packets,
+        // stamped with event time, not once at shutdown stamped zero.
+        let mut bytes = 0;
+        for _ in 0..10 {
+            let batch = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("flushed while running");
+            for t in batch.to_batch() {
+                assert!(t.ts_ns > 0, "flush carries the lane's event time");
+                bytes += t
+                    .get("bytes")
+                    .and_then(netalytics_data::Value::as_u64)
+                    .unwrap();
+            }
+        }
+        assert_eq!(
+            bytes,
+            10 * batch_size as u64 * 100,
+            "no packet lost or doubled"
         );
-        assert_eq!(sink.tuple_count(), 20, "all tuples reached the sink");
+        assert_eq!(p.shutdown(false).tuples_out, 10);
     }
 
     #[test]
-    fn columnar_mode_ships_through_the_ring() {
-        let sink = Arc::new(netalytics_data::CollectSink::new());
-        let p = Pipeline::spawn_with_sink(
-            PipelineConfig {
-                parsers: vec!["http_get".into()],
-                batch_size: 4,
-                columnar: true,
+    fn monitor_and_one_worker_pipeline_emit_the_same_rows() {
+        use crate::{Monitor, MonitorConfig, STOCK_PARSERS};
+        use netalytics_packet::{memcached, mysql};
+
+        // Eight connections, each speaking every protocol the stock
+        // parsers know (requests up, then responses down), on a 1 us clock.
+        let data = TcpFlags::PSH | TcpFlags::ACK;
+        let mut traffic = Vec::new();
+        for port in 4000..4008 {
+            let conversation = [
+                (true, TcpFlags::SYN, Vec::new()),
+                (true, data, http::build_get(&format!("/p{port}"), "b")),
+                (true, data, memcached::build_get("k")),
+                (true, data, mysql::build_query("SELECT 1")),
+                (false, data, http::build_response(200, b"x")),
+                (
+                    false,
+                    data,
+                    memcached::build_value_response("k", Some(b"v")),
+                ),
+                (false, data, mysql::build_ok(1)),
+                (true, TcpFlags::FIN | TcpFlags::ACK, Vec::new()),
+            ];
+            for (up, flags, payload) in conversation {
+                let ts = 1_000 * (traffic.len() as u64 + 1);
+                traffic.push(match up {
+                    true => Packet::tcp(A, port, B, 80, flags, 1, 1, &payload).at_time(ts),
+                    false => Packet::tcp(B, 80, A, port, flags, 1, 1, &payload).at_time(ts),
+                });
+            }
+        }
+        let end_ns = traffic.last().unwrap().ts_ns;
+
+        for name in STOCK_PARSERS {
+            let mut m = Monitor::new(MonitorConfig {
+                parsers: vec![name.into()],
+                sample: SampleSpec::All,
+                batch_size: 8,
+                preagg: None,
+            })
+            .unwrap();
+            for pkt in &traffic {
+                m.process(pkt);
+            }
+            let inline: Vec<DataTuple> = m
+                .drain(end_ns)
+                .iter()
+                .flat_map(ColumnBatch::to_batch)
+                .collect();
+            assert!(!inline.is_empty(), "{name} sees its protocol");
+
+            let (p, sink) = spawn(PipelineConfig {
+                parsers: vec![name.into()],
+                batch_size: 8,
+                // An idle flush mid-stream would move tcp_pkt_size's cuts.
+                heartbeat_interval: Duration::from_secs(3600),
                 ..Default::default()
-            },
-            sink.clone(),
-        )
-        .unwrap();
-        for i in 0..20 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/col{i}"), "b"),
-            ));
+            });
+            for pkt in &traffic {
+                p.offer(pkt.clone());
+            }
+            p.shutdown(false);
+            assert_eq!(rows(&sink), inline, "{name}: one lane, two drivers");
         }
-        let s = p.shutdown(false);
-        assert_eq!(s.packets_in, 20);
-        assert_eq!(s.tuples_out, 20);
-        assert!(s.bytes_out > 0);
-        assert!(s.residual_batches.is_empty(), "sink mode bypasses channel");
-        assert_eq!(sink.tuple_count(), 20, "all tuples reached the sink");
-    }
-
-    #[test]
-    fn columnar_mode_feeds_the_batch_channel_as_rows() {
-        let p = Pipeline::spawn(PipelineConfig {
-            parsers: vec!["http_get".into()],
-            workers_per_parser: 2,
-            batch_size: 4,
-            columnar: true,
-            ..Default::default()
-        })
-        .unwrap();
-        for i in 0..40 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/row{i}"), "b"),
-            ));
-        }
-        let s = p.shutdown(false);
-        assert_eq!(s.tuples_out, 40);
-        let urls: std::collections::HashSet<String> = s
-            .residual_batches
-            .iter()
-            .flat_map(|b| b.tuples.iter())
-            .filter_map(|t| t.get("url").and_then(netalytics_data::Value::as_str))
-            .map(str::to_owned)
-            .collect();
-        assert_eq!(urls.len(), 40, "every GET surfaced exactly once");
-    }
-
-    #[test]
-    fn columnar_with_preagg_falls_back_to_rows() {
-        use netalytics_sketch::PreAggSpec;
-        let p = Pipeline::spawn(PipelineConfig {
-            parsers: vec!["http_get".into()],
-            batch_size: 16,
-            columnar: true,
-            preagg: Some(PreAggSpec::HeavyHitters {
-                key_field: "url".into(),
-                eps: 0.001,
-            }),
-            ..Default::default()
-        })
-        .unwrap();
-        for i in 0..100u16 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/f{}", i % 4), "b"),
-            ));
-        }
-        let s = p.shutdown(false);
-        assert_eq!(s.tuples_folded, 100, "row path in effect: preagg folds");
-        assert!(s.sketches_out >= 1);
     }
 
     #[test]
     fn registry_mode_reports_monitor_metrics() {
         use netalytics_telemetry::MetricValue;
         let metrics = Arc::new(MetricsRegistry::new());
-        let p = Pipeline::spawn(PipelineConfig {
+        let (p, _sink) = spawn(PipelineConfig {
             parsers: vec!["http_get".into()],
             batch_size: 4,
             metrics: Some(Arc::clone(&metrics)),
             ..Default::default()
-        })
-        .unwrap();
+        });
         for i in 0..64 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/m{i}"), "b"),
-            ));
+            p.offer(get(4000 + i, &format!("/m{i}")));
         }
         let summary = p.shutdown(false);
         let snap = metrics.snapshot();
@@ -971,50 +783,38 @@ mod tests {
     }
 
     #[test]
-    fn tracing_stamps_batches_on_both_lanes() {
+    fn tracing_stamps_sealed_batches() {
         use netalytics_telemetry::{TraceConfig, Tracer};
-        for columnar in [false, true] {
-            let tracer = Arc::new(Tracer::new(TraceConfig {
-                sample_every: 1,
-                ..TraceConfig::default()
-            }));
-            let p = Pipeline::spawn(PipelineConfig {
-                parsers: vec!["http_get".into()],
-                batch_size: 4,
-                columnar,
-                tracing: Some((9, Arc::clone(&tracer))),
-                ..Default::default()
-            })
-            .unwrap();
-            for i in 0..8 {
-                p.offer(Packet::tcp(
-                    A,
-                    4000 + i,
-                    B,
-                    80,
-                    TcpFlags::PSH | TcpFlags::ACK,
-                    1,
-                    1,
-                    &http::build_get(&format!("/t{i}"), "b"),
-                ));
-            }
-            let s = p.shutdown(false);
-            assert!(!s.residual_batches.is_empty());
-            for b in &s.residual_batches {
-                let ctx = b.trace.expect("sample_every=1 stamps every batch");
-                assert_eq!(ctx.cookie, 9, "columnar={columnar}");
-            }
-            let falls = tracer.waterfalls(9);
-            assert!(!falls.is_empty(), "columnar={columnar}");
-            assert_eq!(falls[0].spans[0].stage, "parse");
+        let tracer = Arc::new(Tracer::new(TraceConfig {
+            sample_every: 1,
+            ..TraceConfig::default()
+        }));
+        let (p, sink) = spawn(PipelineConfig {
+            parsers: vec!["http_get".into()],
+            batch_size: 4,
+            tracing: Some((9, Arc::clone(&tracer))),
+            ..Default::default()
+        });
+        for i in 0..8 {
+            p.offer(get(4000 + i, &format!("/t{i}")));
         }
+        p.shutdown(false);
+        let batches = sink.drain();
+        assert!(!batches.is_empty());
+        for b in &batches {
+            let ctx = b.trace.expect("sample_every=1 stamps every batch");
+            assert_eq!(ctx.cookie, 9);
+        }
+        let falls = tracer.waterfalls(9);
+        assert!(!falls.is_empty());
+        assert_eq!(falls[0].spans[0].stage, "parse");
     }
 
     #[test]
     fn preagg_cuts_tuples_over_queue_but_preserves_totals() {
         use netalytics_sketch::{PreAggSpec, Sketch};
 
-        let p = Pipeline::spawn(PipelineConfig {
+        let (p, sink) = spawn(PipelineConfig {
             parsers: vec!["http_get".into()],
             workers_per_parser: 2,
             batch_size: 16,
@@ -1022,20 +822,12 @@ mod tests {
                 key_field: "url".into(),
                 eps: 0.001,
             }),
+            // The idle flush would ship extra (still exact) deltas.
+            heartbeat_interval: Duration::from_secs(3600),
             ..Default::default()
-        })
-        .unwrap();
+        });
         for i in 0..400u16 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/h{}", i % 4), "b"),
-            ));
+            p.offer(get(4000 + i, &format!("/h{}", i % 4)));
         }
         let s = p.shutdown(false);
         assert_eq!(s.tuples_folded, 400, "every GET folds into a sketch");
@@ -1047,8 +839,8 @@ mod tests {
         assert_eq!(s.tuples_out, s.sketches_out, "only deltas cross the queue");
         // Worker deltas merge back to exact totals at sketch capacity.
         let mut merged: Option<Sketch> = None;
-        for t in s.residual_batches.iter().flat_map(|b| b.tuples.iter()) {
-            let sk = Sketch::from_tuple(t)
+        for t in rows(&sink) {
+            let sk = Sketch::from_tuple(&t)
                 .expect("sketch tuple")
                 .expect("decodes");
             match &mut merged {
@@ -1066,12 +858,11 @@ mod tests {
 
     #[test]
     fn fault_heartbeat_beats_while_idle_and_stops_at_shutdown() {
-        let p = Pipeline::spawn(PipelineConfig {
+        let (p, _sink) = spawn(PipelineConfig {
             parsers: vec!["http_get".into()],
             heartbeat_interval: Duration::from_millis(5),
             ..Default::default()
-        })
-        .unwrap();
+        });
         std::thread::sleep(Duration::from_millis(40));
         let first = p.last_heartbeat_ns();
         assert!(first > 0, "collector beat without any traffic");
@@ -1083,12 +874,11 @@ mod tests {
 
     #[test]
     fn sampler_drops_are_counted() {
-        let p = Pipeline::spawn(PipelineConfig {
+        let (p, _sink) = spawn(PipelineConfig {
             parsers: vec!["tcp_flow_key".into()],
             sample: SampleSpec::Rate(0.2),
             ..Default::default()
-        })
-        .unwrap();
+        });
         for i in 0..500u16 {
             p.offer(Packet::tcp(A, i, B, 80, TcpFlags::ACK, 0, 0, b""));
         }
@@ -1101,14 +891,13 @@ mod tests {
     fn overload_sheds_at_parser_queue() {
         // A tiny parser queue plus a burst bigger than it can hold must
         // produce queue drops rather than unbounded memory.
-        let p = Pipeline::spawn(PipelineConfig {
+        let (p, _sink) = spawn(PipelineConfig {
             parsers: vec!["mysql_query".into()],
             input_depth: 4096,
             parser_depth: 2,
             batch_size: 1024,
             ..Default::default()
-        })
-        .unwrap();
+        });
         // Use mysql parser with packets that require real work.
         let payload = netalytics_packet::mysql::build_query(
             "SELECT * FROM film JOIN actor USING (id) WHERE title LIKE '%X%'",
@@ -1132,56 +921,39 @@ mod tests {
         assert_eq!(s.tuples_out, 0, "queries without responses emit nothing");
         assert!(s.queue_drops < 5000);
     }
-}
-
-#[cfg(test)]
-mod worker_tests {
-    use super::*;
-    use netalytics_packet::{http, Packet, TcpFlags};
-    use std::net::Ipv4Addr;
-
-    const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-    const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
 
     #[test]
     fn multi_worker_parser_preserves_totals() {
-        let p = Pipeline::spawn(PipelineConfig {
+        let (p, sink) = spawn(PipelineConfig {
             parsers: vec!["http_get".into()],
             workers_per_parser: 4,
             batch_size: 8,
             ..Default::default()
-        })
-        .unwrap();
+        });
         for i in 0..200u16 {
-            p.offer(Packet::tcp(
-                A,
-                4000 + i,
-                B,
-                80,
-                TcpFlags::PSH | TcpFlags::ACK,
-                1,
-                1,
-                &http::build_get(&format!("/w{i}"), "b"),
-            ));
+            p.offer(get(4000 + i, &format!("/w{i}")));
         }
         let s = p.shutdown(false);
         assert_eq!(s.packets_in, 200);
         assert_eq!(s.tuples_out, 200, "no tuple lost or duplicated");
-        let total: usize = s.residual_batches.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 200);
+        let urls: std::collections::HashSet<String> = rows(&sink)
+            .iter()
+            .filter_map(|t| t.get("url").and_then(netalytics_data::Value::as_str))
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(urls.len(), 200, "every GET surfaced exactly once");
     }
 
     #[test]
     fn multi_worker_dispatch_is_flow_consistent() {
         // A stateful parser (mysql_query) must see a flow's query and
         // response on the SAME worker or pairing breaks.
-        let p = Pipeline::spawn(PipelineConfig {
+        let (p, _sink) = spawn(PipelineConfig {
             parsers: vec!["mysql_query".into()],
             workers_per_parser: 4,
             batch_size: 1,
             ..Default::default()
-        })
-        .unwrap();
+        });
         for i in 0..50u16 {
             let port = 4000 + i;
             p.offer(Packet::tcp(

@@ -31,7 +31,7 @@ pub mod wire;
 pub use cms::Cms;
 pub use hash::{hash_bytes, mix64};
 pub use hll::{Hll, DEFAULT_PRECISION};
-pub use preagg::{PreAgg, PreAggSpec};
+pub use preagg::{Folded, PreAgg, PreAggSpec};
 pub use quantile::QuantileSketch;
 pub use spacesaving::{SpaceSaving, SsEntry};
 pub use wire::SketchError;

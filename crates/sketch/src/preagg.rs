@@ -9,12 +9,13 @@
 //! optimizes (paper §5's 10:1 reduction, taken much further).
 //!
 //! A [`PreAgg`] owns one sketch and the field mapping derived from the
-//! query ([`PreAggSpec`]). `offer` consumes matching tuples;
-//! `take_delta` emits the accumulated sketch as a tuple and resets, so
-//! each observation is shipped exactly once and downstream sum-style
-//! merges stay correct.
+//! query ([`PreAggSpec`]). [`PreAgg::fold`] takes each sealed batch:
+//! rows the spec covers are absorbed, the rest pass through, and the
+//! accumulated sketch leaves as one delta row and resets — so each
+//! observation is shipped exactly once and downstream sum-style merges
+//! stay correct.
 
-use netalytics_data::DataTuple;
+use netalytics_data::{ColumnBatch, DataTuple, TupleBatch};
 
 use crate::{value_key_bytes, Hll, QuantileSketch, Sketch, SpaceSaving};
 
@@ -54,6 +55,22 @@ impl PreAggSpec {
     }
 }
 
+/// Folded rows a [`PreAgg`] accumulates before it ships a delta without
+/// being asked to drain.
+const FLUSH_ROWS: u64 = 1024;
+
+/// What [`PreAgg::fold`] made of one sealed batch.
+#[derive(Debug)]
+pub struct Folded {
+    /// The rows the spec does not cover, then the delta row if one was
+    /// taken. May be empty.
+    pub batch: ColumnBatch,
+    /// Rows absorbed into the sketch.
+    pub rows_folded: u64,
+    /// Whether `batch` ends in a sketch delta row.
+    pub delta: bool,
+}
+
 /// Per-monitor sketch accumulator.
 #[derive(Debug, Clone)]
 pub struct PreAgg {
@@ -72,26 +89,44 @@ impl PreAgg {
         }
     }
 
-    pub fn spec(&self) -> &PreAggSpec {
-        &self.spec
-    }
-
-    /// Tuples folded since the last [`PreAgg::take_delta`].
-    pub fn folded(&self) -> u64 {
-        self.folded
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.folded == 0
-    }
-
-    /// Try to fold one parsed tuple into the sketch.
+    /// Folds one sealed batch. Rows carrying the spec's field are
+    /// absorbed into the sketch; rows without it pass through unchanged,
+    /// so no data is silently dropped. When `drain` is set, or once
+    /// `FLUSH_ROWS` rows have accumulated, the sketch is appended as a
+    /// delta row stamped `now_ns` and reset.
     ///
-    /// Returns `true` when the tuple was absorbed (the caller must NOT
-    /// also ship it raw); `false` when the tuple lacks the field the
-    /// spec needs — the caller passes it through unchanged so no data
-    /// is silently dropped.
-    pub fn offer(&mut self, t: &DataTuple) -> bool {
+    /// Reading a row's field by name goes through the row form; this is
+    /// the one place on the monitor side that materializes rows, and
+    /// only on lanes that pre-aggregate.
+    pub fn fold(&mut self, batch: ColumnBatch, now_ns: u64, drain: bool) -> Folded {
+        let mut rest = batch.to_batch().into_tuples();
+        let rows = rest.len();
+        rest.retain(|t| !self.offer(t));
+        let rows_folded = (rows - rest.len()) as u64;
+        let delta = if drain || self.folded >= FLUSH_ROWS {
+            self.take_delta(now_ns)
+        } else {
+            None
+        };
+        if rows_folded == 0 && delta.is_none() {
+            return Folded {
+                batch,
+                rows_folded,
+                delta: false,
+            };
+        }
+        let had_delta = delta.is_some();
+        rest.extend(delta);
+        Folded {
+            batch: ColumnBatch::from_batch(&TupleBatch::from_tuples(rest)),
+            rows_folded,
+            delta: had_delta,
+        }
+    }
+
+    /// Tries to fold one row into the sketch; `false` when the row lacks
+    /// the field the spec needs.
+    fn offer(&mut self, t: &DataTuple) -> bool {
         match (&self.spec, &mut self.sketch) {
             (PreAggSpec::HeavyHitters { key_field, .. }, Sketch::HeavyHitters(ss)) => {
                 let Some(v) = t.get(key_field) else {
@@ -120,18 +155,18 @@ impl PreAgg {
         true
     }
 
-    /// Take the accumulated sketch as a shippable delta tuple and reset.
+    /// Takes the accumulated sketch as a shippable delta tuple and resets.
     ///
     /// `None` when nothing was folded since the last delta. Emitting
     /// *and resetting* is what keeps downstream sum-style merges exact:
     /// each folded observation appears in exactly one delta.
-    pub fn take_delta(&mut self, ts_ns: u64, window_end_ns: u64) -> Option<DataTuple> {
+    fn take_delta(&mut self, now_ns: u64) -> Option<DataTuple> {
         if self.folded == 0 {
             return None;
         }
         let delta = std::mem::replace(&mut self.sketch, self.spec.fresh());
         self.folded = 0;
-        Some(delta.into_tuple(ts_ns, window_end_ns))
+        Some(delta.into_tuple(now_ns, now_ns))
     }
 }
 
@@ -153,27 +188,52 @@ mod tests {
             key_field: "url".into(),
             eps: 0.01,
         });
-        for _ in 0..5 {
-            assert!(pa.offer(&http("/a", 1)));
-        }
-        assert!(pa.offer(&http("/b", 1)));
         // Missing field: passes through, not folded.
-        assert!(!pa.offer(&DataTuple::new(2, 100).from_source("dns")));
-        assert_eq!(pa.folded(), 6);
+        let dns = DataTuple::new(2, 100).from_source("dns");
+        let mut rows = vec![http("/a", 1); 5];
+        rows.extend([dns.clone(), http("/b", 1)]);
+        let f = pa.fold(ColumnBatch::from_batch(&rows.into()), 100, false);
+        assert_eq!((f.rows_folded, f.delta), (6, false));
+        assert_eq!(f.batch.to_batch().tuples, std::slice::from_ref(&dns));
+        assert_eq!(pa.folded, 6);
 
-        let delta = pa.take_delta(200, 10_000).expect("delta");
-        assert!(pa.is_empty());
-        assert!(pa.take_delta(300, 10_000).is_none());
+        // Nothing covered, no drain: the batch comes back as it went in.
+        let uncovered = ColumnBatch::from_batch(&vec![dns].into());
+        assert_eq!(pa.fold(uncovered.clone(), 150, false).batch, uncovered);
 
-        let Sketch::HeavyHitters(ss) = Sketch::from_tuple(&delta).unwrap().unwrap() else {
+        // A drain appends the delta, stamped with the caller's time, and
+        // resets: the next drain has nothing to ship.
+        let f = pa.fold(ColumnBatch::default(), 200, true);
+        assert!(f.delta);
+        assert_eq!(pa.folded, 0);
+        let again = pa.fold(ColumnBatch::default(), 300, true);
+        assert!(!again.delta && again.batch.is_empty());
+
+        let delta = &f.batch.to_batch().tuples[0];
+        let Sketch::HeavyHitters(ss) = Sketch::from_tuple(delta).unwrap().unwrap() else {
             panic!("wrong kind");
         };
         assert_eq!(ss.estimate("/a").map(|e| e.count), Some(5));
         assert_eq!(ss.total(), 6);
+        assert_eq!(delta.ts_ns, 200);
         assert_eq!(
             delta.get(crate::FIELD_WINDOW_END).and_then(Value::as_u64),
-            Some(10_000)
+            Some(200)
         );
+    }
+
+    #[test]
+    fn fold_ships_a_delta_on_its_own_once_enough_rows_accumulated() {
+        let mut pa = PreAgg::new(PreAggSpec::Quantile {
+            value_field: "t_ns".into(),
+        });
+        let batch = |n: u64| {
+            ColumnBatch::from_batch(&(0..n).map(|i| http("/a", i)).collect::<TupleBatch>())
+        };
+        assert!(!pa.fold(batch(FLUSH_ROWS - 1), 1, false).delta);
+        let f = pa.fold(batch(1), 2, false);
+        assert!(f.delta, "the {FLUSH_ROWS}th row trips the flush");
+        assert_eq!(f.batch.rows(), 1, "only the delta crosses the queue");
     }
 
     #[test]
@@ -183,7 +243,7 @@ mod tests {
         });
         assert!(q.offer(&http("/a", 500)));
         assert!(!q.offer(&DataTuple::new(3, 1).from_source("http").with("url", "/x")));
-        let t = q.take_delta(1, 2).unwrap();
+        let t = q.take_delta(1).unwrap();
         let Sketch::Quantile(qs) = Sketch::from_tuple(&t).unwrap().unwrap() else {
             panic!("wrong kind");
         };
@@ -197,7 +257,7 @@ mod tests {
             assert!(d.offer(&http(&format!("/page/{i}"), 1)));
             assert!(d.offer(&http(&format!("/page/{i}"), 2)));
         }
-        let t = d.take_delta(1, 2).unwrap();
+        let t = d.take_delta(1).unwrap();
         let Sketch::Distinct(hll) = Sketch::from_tuple(&t).unwrap().unwrap() else {
             panic!("wrong kind");
         };

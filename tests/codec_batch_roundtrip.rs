@@ -1,11 +1,9 @@
-//! Wire-codec round-trip guarantees for the batch-first data plane.
-//!
-//! Every hop — parser worker → [`QueueWriter`] → partition → spout —
-//! moves encoded [`TupleBatch`]es, so the codec must round-trip exactly:
+//! Round-trip guarantees for the row frame, [`TupleBatch::encode`] —
+//! the store's on-disk record. (No wire carries it: monitors, the
+//! emulated fabric and the queue move column frames, guarded by
+//! `columnar_properties.rs`.) What is written must read back exactly:
 //! empty batches, unicode in every string position, the numeric extremes,
 //! and (because `NaN != NaN`) byte-identical re-encoding.
-//!
-//! [`QueueWriter`]: netalytics_queue::QueueWriter
 
 use netalytics_data::{DataTuple, TupleBatch, Value};
 use proptest::prelude::*;

@@ -9,6 +9,10 @@
 //! line directly above it. A new unannotated lock on these files fails
 //! the build until its cost class is declared — and a reviewer can grep
 //! for `per-batch lock` to audit every claim.
+//!
+//! A second check keeps rows out of the monitor: parsers emit columns
+//! and the lane seals column batches, so outside its `#[cfg(test)]`
+//! modules no file under `crates/monitor/src` may name the row types.
 
 use std::fs;
 use std::path::Path;
@@ -23,6 +27,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/data/src/schema.rs",
     "crates/data/src/transport.rs",
     "crates/data/src/tuple.rs",
+    "crates/monitor/src/lane.rs",
     "crates/monitor/src/pipeline.rs",
     "crates/queue/src/cluster.rs",
     "crates/queue/src/writer.rs",
@@ -75,5 +80,47 @@ fn hot_path_locks_are_per_batch_or_cold_only() {
         annotated >= 10,
         "expected the known annotated lock sites, found {annotated} — \
          did the hot-path file list go stale?"
+    );
+}
+
+const ROW_TYPES: &[&str] = &["DataTuple", "TupleBatch"];
+
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn monitor_sources_name_no_row_types_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/monitor/src");
+    let mut files = Vec::new();
+    rust_files(&root, &mut files);
+    assert!(
+        files.len() >= 10,
+        "expected the monitor's sources, found {} — did the crate move?",
+        files.len()
+    );
+    let mut violations = Vec::new();
+    for path in &files {
+        let src = fs::read_to_string(path).expect("readable source");
+        // Test modules sit at the end of each file and may read batches
+        // back as rows to state their expectations.
+        let code = src.split("#[cfg(test)]").next().unwrap_or("");
+        for (i, line) in code.lines().enumerate() {
+            if !is_comment(line) && ROW_TYPES.iter().any(|t| line.contains(t)) {
+                violations.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "row types in monitor code — parsers and the lane emit columns only:\n{}",
+        violations.join("\n")
     );
 }

@@ -163,7 +163,6 @@ fn threaded_lane_waterfall_spans_parse_queue_bolt_store_over_http() {
             sample: SampleSpec::All,
             batch_size: 8,
             metrics: Some(Arc::clone(&registry)),
-            columnar: true,
             tracing: Some((COOKIE, Arc::clone(&tracer))),
             ..Default::default()
         },

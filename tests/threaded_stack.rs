@@ -5,7 +5,7 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use netalytics_data::Value;
+use netalytics_data::{CollectSink, Value};
 use netalytics_monitor::{Pipeline, PipelineConfig, SampleSpec};
 use netalytics_packet::{http, Packet, TcpFlags};
 use netalytics_queue::{QueueCluster, QueueConfig, QueueWriter};
@@ -44,7 +44,6 @@ fn pipeline_to_queue_to_executor_counts_are_exact() {
             parsers: vec!["http_get".into()],
             sample: SampleSpec::All,
             batch_size: 64,
-            columnar: true,
             ..Default::default()
         },
         Arc::clone(&writer) as _,
@@ -112,12 +111,16 @@ fn queue_retention_sheds_under_slow_consumer() {
 
 #[test]
 fn sampler_in_pipeline_is_flow_consistent() {
-    let pipeline = Pipeline::spawn(PipelineConfig {
-        parsers: vec!["tcp_flow_key".into()],
-        sample: SampleSpec::Rate(0.4),
-        batch_size: 32,
-        ..Default::default()
-    })
+    let sink = Arc::new(CollectSink::new());
+    let pipeline = Pipeline::spawn_with_sink(
+        PipelineConfig {
+            parsers: vec!["tcp_flow_key".into()],
+            sample: SampleSpec::Rate(0.4),
+            batch_size: 32,
+            ..Default::default()
+        },
+        Arc::clone(&sink) as _,
+    )
     .unwrap();
     let src: std::net::Ipv4Addr = "10.0.0.1".parse().unwrap();
     let dst: std::net::Ipv4Addr = "10.0.0.9".parse().unwrap();
@@ -136,14 +139,12 @@ fn sampler_in_pipeline_is_flow_consistent() {
             ));
         }
     }
-    let summary = pipeline.shutdown(false);
+    pipeline.shutdown(false);
     // Flow-consistent sampling admits whole flows: the per-flow tuple
     // count is 10 for every sampled flow.
     let mut per_flow: std::collections::HashMap<u64, usize> = Default::default();
-    for b in &summary.residual_batches {
-        for t in &b.tuples {
-            *per_flow.entry(t.id).or_default() += 1;
-        }
+    for t in sink.drain().into_iter().flatten() {
+        *per_flow.entry(t.id).or_default() += 1;
     }
     assert!(!per_flow.is_empty());
     for (flow, n) in &per_flow {
