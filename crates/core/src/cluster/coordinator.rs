@@ -1,31 +1,23 @@
 //! The cluster coordinator: shard construction, request routing,
-//! merged views, pod-level chaos, and the HTTP frontend.
+//! merged views and pod-level chaos.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
-use std::net::{Ipv4Addr, SocketAddr, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use netalytics_netsim::{App, FatTree, HostIdx, SimDuration, SimTime};
 use netalytics_store::{ResultBackend, ShardedStore};
 use netalytics_stream::SubscriptionHub;
 use netalytics_telemetry::{
-    ApiError, Introspection, Journal, MetricsRegistry, QueryDirectory, RegistrySnapshot, Response,
-    TelemetryServer, TraceConfig, Tracer,
+    Introspection, Journal, MetricsRegistry, QueryDirectory, RegistrySnapshot, TraceConfig, Tracer,
 };
 use parking_lot::Mutex;
 
-use super::shard::{ClusterShard, ShardState};
+use super::shard::ClusterShard;
 use crate::admission::Tenant;
-use crate::frontend::{
-    frontend_router, frontend_stalled, kill_summary_json, Command, FrontendConfig, FrontendShared,
-    COMMAND_TIMEOUT,
-};
 use crate::orchestrator::{
-    FailurePolicy, Orchestrator, OrchestratorError, QueryReport, StandingConfig,
+    FailurePolicy, Orchestrator, OrchestratorError, QueryReport, StandingConfig, TickReport,
 };
 use crate::results::ResultSet;
 
@@ -60,26 +52,6 @@ impl Default for ClusterConfig {
             journal_capacity: 1024,
             store: None,
         }
-    }
-}
-
-/// What one [`Cluster::tick`] / [`Cluster::reconcile_all`] pass did,
-/// summed across shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TickReport {
-    /// Monitors/aggregators re-placed onto fresh hosts.
-    pub replaced: usize,
-    /// Queries killed because their LIMIT deadline (plus grace) passed.
-    pub deadline_kills: usize,
-    /// Queries killed because reconcile could not repair them.
-    pub unrepairable_kills: usize,
-}
-
-impl TickReport {
-    fn absorb(&mut self, other: TickReport) {
-        self.replaced += other.replaced;
-        self.deadline_kills += other.deadline_kills;
-        self.unrepairable_kills += other.unrepairable_kills;
     }
 }
 
@@ -266,7 +238,7 @@ impl Cluster {
     /// so the owning shard's answer is the cluster-wide one. Workload
     /// builders use this to aim client conversations.
     pub fn host_ip(&self, host: HostIdx) -> Ipv4Addr {
-        self.shards[self.shard_of_host(host)].with(move |s| s.orch.host_ip(host))
+        self.shards[self.shard_of_host(host)].with(move |o| o.host_ip(host))
     }
 
     /// The shared query directory (all shards publish into it).
@@ -316,14 +288,14 @@ impl Cluster {
     /// latency per pass, not the sum.
     fn fanout<R: Send + 'static>(
         &self,
-        f: impl Fn(&mut ShardState) -> R + Send + Clone + 'static,
+        f: impl Fn(&mut Orchestrator) -> R + Send + Clone + 'static,
     ) -> Vec<R> {
         let rxs: Vec<_> = self
             .shards
             .iter()
             .map(|sh| {
                 let f = f.clone();
-                sh.call(move |s| f(s))
+                sh.call(f)
             })
             .collect();
         rxs.into_iter()
@@ -338,7 +310,7 @@ impl Cluster {
         let name = name.into();
         let shard = self.shard_of_host(host);
         self.names.lock().insert(name.clone(), shard);
-        self.shards[shard].with(move |s| s.orch.name_host(name, host));
+        self.shards[shard].with(move |o| o.name_host(name, host));
     }
 
     /// Deploys a workload app on `host`'s owning shard. The app is
@@ -350,13 +322,13 @@ impl Cluster {
         make_app: impl FnOnce() -> Box<dyn App> + Send + 'static,
     ) {
         let shard = self.shard_of_host(host);
-        self.shards[shard].with(move |s| s.orch.deploy_app(host, make_app()));
+        self.shards[shard].with(move |o| o.deploy_app(host, make_app()));
     }
 
     /// Registers `tenant` with every shard's admission controller, so
     /// routing never changes a tenant's quota outcome.
     pub fn register_tenant(&self, tenant: Tenant) {
-        self.fanout(move |s| s.orch.register_tenant(tenant.clone()));
+        self.fanout(move |o| o.register_tenant(tenant.clone()));
     }
 
     /// Picks the shard for a submission: the shard owning the longest
@@ -375,7 +347,7 @@ impl Cluster {
                 return shard;
             }
         }
-        self.fanout(|s| s.handles.len())
+        self.fanout(|o| o.num_running())
             .into_iter()
             .enumerate()
             .min_by_key(|&(i, load)| (load, i))
@@ -399,14 +371,7 @@ impl Cluster {
     ///
     /// Everything [`Orchestrator::submit_as`] can fail with.
     pub fn submit_as(&self, tenant: &str, query: &str) -> Result<u64, OrchestratorError> {
-        let shard = self.route_shard(query);
-        let (tenant, query) = (tenant.to_string(), query.to_string());
-        self.shards[shard].with(move |s| {
-            let handle = s.orch.submit_as(&tenant, &query)?;
-            let cookie = handle.cookie();
-            s.handles.insert(cookie, handle);
-            Ok(cookie)
-        })
+        Ok(self.submit_routed(tenant, query, None)?.0)
     }
 
     /// Standing-query counterpart of [`Cluster::submit_as`].
@@ -420,22 +385,26 @@ impl Cluster {
         query: &str,
         cfg: StandingConfig,
     ) -> Result<u64, OrchestratorError> {
+        Ok(self.submit_routed(tenant, query, Some(cfg))?.0)
+    }
+
+    /// Routes, then submits on the owning shard's thread.
+    pub(crate) fn submit_routed(
+        &self,
+        tenant: &str,
+        query: &str,
+        standing: Option<StandingConfig>,
+    ) -> Result<(u64, Arc<SubscriptionHub>), OrchestratorError> {
         let shard = self.route_shard(query);
         let (tenant, query) = (tenant.to_string(), query.to_string());
-        self.shards[shard].with(move |s| {
-            let handle = s.orch.submit_standing_as(&tenant, &query, cfg)?;
-            let cookie = handle.cookie();
-            s.handles.insert(cookie, handle);
-            Ok(cookie)
-        })
+        self.shards[shard].with(move |o| o.submit_with(&tenant, &query, standing))
     }
 
     /// The live-subscription hub of a running query.
     pub fn hub_of(&self, cookie: u64) -> Option<Arc<SubscriptionHub>> {
         let sh = self.shards.get(Self::shard_of_cookie(cookie))?;
-        sh.with(move |s| {
-            s.handles
-                .get(&cookie)
+        sh.with(move |o| {
+            o.handle_for(cookie)
                 .map(|h| Arc::clone(h.subscription_hub()))
         })
     }
@@ -443,41 +412,26 @@ impl Cluster {
     /// The in-memory result history of a running query.
     pub fn query_history(&self, cookie: u64) -> Option<ResultSet> {
         let sh = self.shards.get(Self::shard_of_cookie(cookie))?;
-        sh.with(move |s| s.handles.get(&cookie).and_then(|h| h.history()))
+        sh.with(move |o| o.handle_for(cookie).and_then(|h| h.history()))
     }
 
     /// Kills a query on its owning shard. `None` for unknown cookies.
     pub fn kill(&self, cookie: u64) -> Option<QueryReport> {
         let sh = self.shards.get(Self::shard_of_cookie(cookie))?;
-        sh.with(move |s| {
-            s.handles.remove(&cookie);
-            s.orch.kill_by_cookie(cookie)
-        })
+        sh.with(move |o| o.kill_by_cookie(cookie))
     }
 
     /// Kills every running query; returns how many were torn down.
     pub fn kill_all(&self) -> usize {
-        self.fanout(|s| {
-            let cookies: Vec<u64> = s.handles.keys().copied().collect();
-            let mut n = 0;
-            for cookie in cookies {
-                if s.orch.kill_by_cookie(cookie).is_some() {
-                    n += 1;
-                }
-            }
-            s.handles.clear();
-            n
-        })
-        .into_iter()
-        .sum()
+        self.fanout(Orchestrator::kill_all).into_iter().sum()
     }
 
     /// The cluster's virtual clock: the furthest shard's now. Shards
-    /// advance in lockstep ([`Cluster::run_until`] / [`Cluster::tick`]
-    /// give every shard the same target), so in steady state all
-    /// shards agree.
+    /// advance in lockstep ([`Cluster::run_until`] gives every shard
+    /// the same target, [`Cluster::tick`] the same step), so in steady
+    /// state all shards agree.
     pub fn now(&self) -> SimTime {
-        self.fanout(|s| s.orch.now())
+        self.fanout(|o| o.now())
             .into_iter()
             .max()
             .expect("at least one shard")
@@ -485,31 +439,15 @@ impl Cluster {
 
     /// Advances every shard's emulation to `deadline`, in parallel.
     pub fn run_until(&self, deadline: SimTime) {
-        self.fanout(move |s| s.orch.run_until(deadline));
+        self.fanout(move |o| o.run_until(deadline));
     }
 
-    /// One cluster tick, mirroring the frontend's idle pass on every
-    /// shard in parallel: advance all emulations `step` past the
-    /// cluster clock in lockstep, auto-kill queries whose deadline
-    /// (plus `grace`) expired, reconcile the rest, and kill the
-    /// unrepairable rather than leave them zombied.
+    /// One cluster tick: [`Orchestrator::tick`] on every shard in
+    /// parallel, reports summed. Every shard advances by the same
+    /// `step`, so the shard clocks stay in lockstep.
     pub fn tick(&self, step: SimDuration, grace: SimDuration) -> TickReport {
-        let target = self.now() + step;
         let mut total = TickReport::default();
-        for report in self.fanout(move |s| {
-            s.orch.run_until(target);
-            shard_tick(s, grace)
-        }) {
-            total.absorb(report);
-        }
-        total
-    }
-
-    /// One reconcile pass over every shard (no time advance, no
-    /// deadline enforcement).
-    pub fn reconcile_all(&self) -> TickReport {
-        let mut total = TickReport::default();
-        for report in self.fanout(shard_reconcile) {
+        for report in self.fanout(move |o| o.tick(step, grace)) {
             total.absorb(report);
         }
         total
@@ -522,8 +460,8 @@ impl Cluster {
     pub fn fail_pod(&self, pod: u32) -> PodKillReport {
         let shard = self.shard_of_pod(pod);
         let tree = self.tree;
-        let (hosts, links) = self.shards[shard].with(move |s| {
-            let engine = s.orch.engine_mut();
+        let (hosts, links) = self.shards[shard].with(move |o| {
+            let engine = o.engine_mut();
             let (mut hosts, mut links) = (0, 0);
             for edge in tree.edges_of_pod(pod) {
                 for host in tree.hosts_of_edge(edge) {
@@ -564,8 +502,8 @@ impl Cluster {
     pub fn repair_pod(&self, pod: u32) -> PodKillReport {
         let shard = self.shard_of_pod(pod);
         let tree = self.tree;
-        let (hosts, links) = self.shards[shard].with(move |s| {
-            let engine = s.orch.engine_mut();
+        let (hosts, links) = self.shards[shard].with(move |o| {
+            let engine = o.engine_mut();
             let (mut hosts, mut links) = (0, 0);
             for edge in tree.edges_of_pod(pod) {
                 for host in tree.hosts_of_edge(edge) {
@@ -614,7 +552,7 @@ impl Cluster {
     /// Per-shard load and clock, for operators and the
     /// `/cluster/shards` route.
     pub fn shard_summaries(&self) -> Vec<ShardSummary> {
-        self.fanout(|s| (s.handles.len(), s.orch.now()))
+        self.fanout(|o| (o.num_running(), o.now()))
             .into_iter()
             .enumerate()
             .map(|(index, (running, now))| ShardSummary {
@@ -632,7 +570,7 @@ impl Cluster {
     pub fn telemetry_report(&self) -> RegistrySnapshot {
         let mut metrics = self.metrics.snapshot().metrics;
         for (i, snap) in self
-            .fanout(|s| s.orch.telemetry_report())
+            .fanout(|o| o.telemetry_report())
             .into_iter()
             .enumerate()
         {
@@ -643,286 +581,24 @@ impl Cluster {
         }
         RegistrySnapshot { metrics }
     }
-}
 
-/// Deadline enforcement + reconcile for one shard — the cluster's copy
-/// of the frontend's idle pass.
-fn shard_tick(s: &mut ShardState, grace: SimDuration) -> TickReport {
-    let mut report = TickReport::default();
-    let cookies: Vec<u64> = s.handles.keys().copied().collect();
-    for cookie in cookies {
-        let handle = s.handles[&cookie].clone();
-        let expired = handle.deadline().is_some_and(|d| s.orch.now() >= d + grace);
-        if expired {
-            s.handles.remove(&cookie);
-            let _ = s.orch.kill_by_cookie(cookie);
-            report.deadline_kills += 1;
-            continue;
-        }
-        reconcile_one(s, cookie, &mut report);
-    }
-    report
-}
-
-fn shard_reconcile(s: &mut ShardState) -> TickReport {
-    let mut report = TickReport::default();
-    let cookies: Vec<u64> = s.handles.keys().copied().collect();
-    for cookie in cookies {
-        reconcile_one(s, cookie, &mut report);
-    }
-    report
-}
-
-fn reconcile_one(s: &mut ShardState, cookie: u64, report: &mut TickReport) {
-    let handle = s.handles[&cookie].clone();
-    match s.orch.reconcile(&handle) {
-        Ok(r) => report.replaced += r.replaced.len(),
-        Err(_) => {
-            s.handles.remove(&cookie);
-            let _ = s.orch.kill_by_cookie(cookie);
-            report.unrepairable_kills += 1;
-        }
-    }
-}
-
-/// The scale-out HTTP frontend: the exact query-lifecycle API of
-/// [`crate::QueryFrontend`] (same routes, same envelopes) served over a
-/// [`Cluster`] instead of a single orchestrator, plus two cluster
-/// routes:
-///
-/// | Route | Effect |
-/// |---|---|
-/// | `GET /cluster/metrics` | merged, `shard=`-labelled Prometheus text |
-/// | `GET /cluster/shards` | per-shard pods / load / clock as JSON |
-///
-/// Submissions and kills route by hostname/cookie exactly as the
-/// library calls do; reads (list, describe, results, stream) hit the
-/// shared directory/store/hubs without any shard round trip.
-pub struct ClusterFrontend {
-    server: TelemetryServer,
-    tx: Sender<Command>,
-    thread: Option<JoinHandle<()>>,
-    shared: Arc<FrontendShared>,
-    cluster: Arc<Cluster>,
-}
-
-impl ClusterFrontend {
-    /// Binds `addr` and serves the cluster. The caller configures the
-    /// cluster (host names, workload apps, tenants) before handing it
-    /// over; a driver thread then owns it, applying commands and
-    /// ticking every shard between them.
-    ///
-    /// # Errors
-    ///
-    /// Bind/listen/thread-spawn failures.
-    pub fn spawn(
-        addr: impl ToSocketAddrs,
-        cluster: Cluster,
-        config: FrontendConfig,
-    ) -> io::Result<ClusterFrontend> {
-        let cluster = Arc::new(cluster);
-        let (tx, rx) = mpsc::channel::<Command>();
-        let hubs: Arc<Mutex<HashMap<u64, Arc<SubscriptionHub>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let introspection = cluster.introspection();
-        let shared = Arc::new(FrontendShared {
-            directory: Arc::clone(cluster.directory()),
-            store: cluster
-                .store()
-                .map(|s| Arc::clone(s) as Arc<dyn ResultBackend>),
-            metrics: Arc::clone(&introspection.registry),
-            hubs: Arc::clone(&hubs),
-            tx: Mutex::new(tx.clone()),
-        });
-        let mut router = frontend_router(&shared, &introspection);
-        let c = Arc::clone(&cluster);
-        router.route("GET", "/cluster/metrics", move |_req| {
-            Response::text(c.telemetry_report().render_prometheus())
-        });
-        let c = Arc::clone(&cluster);
-        router.route("GET", "/cluster/shards", move |_req| {
-            Response::json(shards_json(&c))
-        });
-        let server = TelemetryServer::spawn_router(addr, router, config.workers)?;
-        let loop_cluster = Arc::clone(&cluster);
-        let thread = std::thread::Builder::new()
-            .name("netalytics-cluster".into())
-            .spawn(move || cluster_loop(loop_cluster, config, rx, hubs))?;
-        Ok(ClusterFrontend {
-            server,
-            tx,
-            thread: Some(thread),
-            shared,
-            cluster,
-        })
-    }
-
-    /// The bound address (use port 0 to pick an ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// The cluster behind the frontend (read-side: directory, store,
-    /// merged telemetry, pod chaos).
-    pub fn cluster(&self) -> &Arc<Cluster> {
-        &self.cluster
-    }
-
-    /// Programmatic submit through the same driver thread the HTTP
-    /// route uses.
-    ///
-    /// # Errors
-    ///
-    /// The same [`ApiError`]s `POST /queries` returns.
-    pub fn submit(&self, tenant: &str, query: &str) -> Result<u64, ApiError> {
-        self.submit_command(tenant, query, None)
-    }
-
-    /// Programmatic standing submit.
-    ///
-    /// # Errors
-    ///
-    /// The same [`ApiError`]s the HTTP route returns.
-    pub fn submit_standing(
-        &self,
-        tenant: &str,
-        query: &str,
-        cfg: StandingConfig,
-    ) -> Result<u64, ApiError> {
-        self.submit_command(tenant, query, Some(cfg))
-    }
-
-    fn submit_command(
-        &self,
-        tenant: &str,
-        query: &str,
-        standing: Option<StandingConfig>,
-    ) -> Result<u64, ApiError> {
-        let (reply, rx) = mpsc::sync_channel(1);
-        self.tx
-            .send(Command::Submit {
-                tenant: tenant.to_string(),
-                query: query.to_string(),
-                standing,
-                reply,
-            })
-            .map_err(|_| frontend_stalled())?;
-        rx.recv_timeout(COMMAND_TIMEOUT)
-            .map_err(|_| frontend_stalled())?
-    }
-
-    /// Programmatic kill. `true` when the cookie named a running query.
-    pub fn kill(&self, cookie: u64) -> bool {
-        let (reply, rx) = mpsc::sync_channel(1);
-        if self.tx.send(Command::Kill { cookie, reply }).is_err() {
-            return false;
-        }
-        matches!(rx.recv_timeout(COMMAND_TIMEOUT), Ok(Ok(_)))
-    }
-
-    /// The shared query directory.
-    pub fn directory(&self) -> &Arc<QueryDirectory> {
-        &self.shared.directory
-    }
-
-    /// `(delivered, shed)` tuple counts across a query's live
-    /// subscribers, or `None` for an unknown cookie.
-    pub fn stream_stats(&self, cookie: u64) -> Option<(u64, u64)> {
-        let hubs = self.shared.hubs.lock();
-        hubs.get(&cookie).map(|h| (h.delivered(), h.shed()))
-    }
-}
-
-impl Drop for ClusterFrontend {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Command::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn shards_json(cluster: &Cluster) -> String {
-    let mut s = String::from("{\"shards\":[");
-    for (i, sh) in cluster.shard_summaries().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"index\":{},\"pods\":[{},{}],\"running\":{},\"now_ns\":{}}}",
-            sh.index,
-            sh.pods.0,
-            sh.pods.1,
-            sh.running,
-            sh.now.as_nanos()
-        ));
-    }
-    s.push_str("]}");
-    s
-}
-
-/// The driver thread: applies commands, and between commands ticks the
-/// whole cluster (lockstep time advance, deadline kills, reconcile).
-fn cluster_loop(
-    cluster: Arc<Cluster>,
-    config: FrontendConfig,
-    rx: Receiver<Command>,
-    hubs: Arc<Mutex<HashMap<u64, Arc<SubscriptionHub>>>>,
-) {
-    let metrics = Arc::clone(cluster.registry());
-    loop {
-        match rx.recv_timeout(config.poll_interval) {
-            Ok(Command::Submit {
-                tenant,
-                query,
-                standing,
-                reply,
-            }) => {
-                let submitted = match standing {
-                    Some(cfg) => cluster.submit_standing_as(&tenant, &query, cfg),
-                    None => cluster.submit_as(&tenant, &query),
-                };
-                let outcome = match submitted {
-                    Ok(cookie) => {
-                        if let Some(hub) = cluster.hub_of(cookie) {
-                            hubs.lock().insert(cookie, hub);
-                        }
-                        metrics.counter("frontend.submitted", &[]).inc();
-                        Ok(cookie)
-                    }
-                    Err(e) => {
-                        metrics.counter("frontend.rejected", &[]).inc();
-                        Err(ApiError::from(e))
-                    }
-                };
-                let _ = reply.send(outcome);
+    /// The `/cluster/shards` body.
+    pub(crate) fn shards_json(&self) -> String {
+        let mut s = String::from("{\"shards\":[");
+        for (i, sh) in self.shard_summaries().iter().enumerate() {
+            if i > 0 {
+                s.push(',');
             }
-            Ok(Command::Kill { cookie, reply }) => {
-                let outcome = match cluster.kill(cookie) {
-                    Some(report) => {
-                        metrics.counter("frontend.killed", &[]).inc();
-                        Ok(kill_summary_json(cookie, &report))
-                    }
-                    None => Err(()),
-                };
-                let _ = reply.send(outcome);
-            }
-            Ok(Command::Shutdown) => break,
-            Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {
-                let report = cluster.tick(config.idle_step, config.deadline_grace);
-                if report.deadline_kills > 0 {
-                    metrics
-                        .counter("frontend.deadline_kills", &[])
-                        .add(report.deadline_kills as u64);
-                }
-                if report.unrepairable_kills > 0 {
-                    metrics
-                        .counter("frontend.unrepairable_kills", &[])
-                        .add(report.unrepairable_kills as u64);
-                }
-            }
+            s.push_str(&format!(
+                "{{\"index\":{},\"pods\":[{},{}],\"running\":{},\"now_ns\":{}}}",
+                sh.index,
+                sh.pods.0,
+                sh.pods.1,
+                sh.running,
+                sh.now.as_nanos()
+            ));
         }
+        s.push_str("]}");
+        s
     }
-    cluster.kill_all();
 }

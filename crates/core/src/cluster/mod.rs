@@ -16,8 +16,13 @@
 //! * drives chaos at pod granularity — [`Cluster::fail_pod`] downs
 //!   every host in a pod, their uplinks, and the colocated replica of
 //!   the shared store,
-//! * and fronts the whole thing over HTTP ([`ClusterFrontend`]) with
-//!   the exact same query-lifecycle API as [`crate::QueryFrontend`].
+//! * and is served over HTTP by the one frontend,
+//!   [`crate::QueryFrontend::spawn_cluster`] — the single-node
+//!   lifecycle API plus two `/cluster/*` views.
+//!
+//! Lifecycle enforcement is not duplicated here: [`Cluster::tick`] fans
+//! [`crate::Orchestrator::tick`] out to every shard, and each shard's
+//! orchestrator registry is the only record of what it runs.
 //!
 //! Durability scales out with it: shards share one
 //! [`netalytics_store::ShardedStore`], which hashes each
@@ -31,6 +36,4 @@
 mod coordinator;
 mod shard;
 
-pub use coordinator::{
-    Cluster, ClusterConfig, ClusterFrontend, PodKillReport, ShardSummary, TickReport,
-};
+pub use coordinator::{Cluster, ClusterConfig, PodKillReport, ShardSummary};

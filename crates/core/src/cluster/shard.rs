@@ -3,29 +3,22 @@
 //!
 //! The orchestrator is deliberately `!Send` (its monitor and executor
 //! handles are `Rc`-shared with the discrete-event engine), so a shard
-//! never moves it; instead callers ship `FnOnce(&mut ShardState)` jobs
-//! to the owning thread and read the answer back over a rendezvous
+//! never moves it; instead callers ship `FnOnce(&mut Orchestrator)`
+//! jobs to the owning thread and read the answer back over a rendezvous
 //! channel. The coordinator exploits the split shape of
 //! [`ClusterShard::call`] / [`std::sync::mpsc::Receiver::recv`] to fan
 //! a job out to every shard first and only then collect, so an
 //! N-shard pass costs one slowest-shard latency, not the sum.
 
-use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
-use crate::orchestrator::{Orchestrator, OrchestratorBuilder, QueryHandle};
+use crate::orchestrator::{Orchestrator, OrchestratorBuilder};
 
-/// A unit of work executed on the shard's thread.
-pub(crate) type Job = Box<dyn FnOnce(&mut ShardState) + Send>;
-
-/// Everything a job may touch: the shard's orchestrator plus the
-/// handles of queries it is running (kept thread-side because
-/// [`QueryHandle`] is `!Send`).
-pub(crate) struct ShardState {
-    pub(crate) orch: Orchestrator,
-    pub(crate) handles: HashMap<u64, QueryHandle>,
-}
+/// A unit of work executed on the shard's thread. The orchestrator's
+/// own registry is the only record of what the shard is running, so a
+/// job needs nothing else.
+pub(crate) type Job = Box<dyn FnOnce(&mut Orchestrator) + Send>;
 
 /// The thread-owning half of a shard. Dropping it disconnects the
 /// mailbox; the thread kills its remaining queries (flushing sinks and
@@ -47,17 +40,11 @@ impl ClusterShard {
         let thread = std::thread::Builder::new()
             .name(format!("netalytics-shard-{index}"))
             .spawn(move || {
-                let mut state = ShardState {
-                    orch: builder.build(),
-                    handles: HashMap::new(),
-                };
+                let mut orch = builder.build();
                 while let Ok(job) = rx.recv() {
-                    job(&mut state);
+                    job(&mut orch);
                 }
-                let cookies: Vec<u64> = state.handles.keys().copied().collect();
-                for cookie in cookies {
-                    let _ = state.orch.kill_by_cookie(cookie);
-                }
+                orch.kill_all();
             })
             .expect("spawn cluster shard thread");
         ClusterShard {
@@ -75,11 +62,11 @@ impl ClusterShard {
     /// shard is dropped, so a send failure is a caller bug).
     pub(crate) fn call<R: Send + 'static>(
         &self,
-        f: impl FnOnce(&mut ShardState) -> R + Send + 'static,
+        f: impl FnOnce(&mut Orchestrator) -> R + Send + 'static,
     ) -> Receiver<R> {
         let (reply, rx) = mpsc::sync_channel(1);
-        let job: Job = Box::new(move |state| {
-            let _ = reply.send(f(state));
+        let job: Job = Box::new(move |orch| {
+            let _ = reply.send(f(orch));
         });
         self.tx
             .as_ref()
@@ -93,7 +80,7 @@ impl ClusterShard {
     /// round trips.
     pub(crate) fn with<R: Send + 'static>(
         &self,
-        f: impl FnOnce(&mut ShardState) -> R + Send + 'static,
+        f: impl FnOnce(&mut Orchestrator) -> R + Send + 'static,
     ) -> R {
         self.call(f).recv().expect("shard thread alive")
     }

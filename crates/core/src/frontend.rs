@@ -1,10 +1,11 @@
 //! The production query frontend: NetAlytics' §3.1 "administrators
 //! submit queries" surface as a real HTTP API.
 //!
-//! [`QueryFrontend`] owns an [`Orchestrator`] on a dedicated thread
-//! (the orchestrator is deliberately single-threaded — its monitor and
-//! executor handles are `Rc`-shared with the discrete-event engine) and
-//! exposes the full query lifecycle over the wire:
+//! [`QueryFrontend`] is the one frontend. Its driver thread either owns
+//! an [`Orchestrator`] (built on that thread: the orchestrator is
+//! deliberately single-threaded — its monitor and executor handles are
+//! `Rc`-shared with the discrete-event engine) or fronts a sharded
+//! [`Cluster`], and exposes the full query lifecycle over the wire:
 //!
 //! | Route | Effect |
 //! |---|---|
@@ -18,14 +19,14 @@
 //! plus the read-only introspection routes from
 //! [`introspection_router`] (`/metrics`, `/events`, `/trace/{cookie}`).
 //!
-//! Mutations (submit, kill) are forwarded to the orchestrator thread
-//! over a command mailbox; reads (list, describe, results, stream) go
-//! straight to the shared directory/store/hubs, so a slow simulation
-//! tick never blocks them. Between commands the orchestrator thread
-//! advances virtual time, reconciles every running query, refreshes
-//! directory health, and kills queries whose `LIMIT` deadline passed —
-//! an HTTP client watching `/queries/{cookie}` sees the same lifecycle
-//! a library caller drives by hand.
+//! Mutations (submit, kill) are forwarded to the driver thread over a
+//! command mailbox; reads (list, describe, results, stream) go straight
+//! to the shared directory/store/hubs, so a slow simulation tick never
+//! blocks them. Between commands the driver runs the backend's control
+//! pass ([`Orchestrator::tick`]: advance virtual time, kill queries
+//! whose `LIMIT` deadline passed, reconcile the rest, refresh directory
+//! health) — an HTTP client watching `/queries/{cookie}` sees the same
+//! lifecycle a library caller drives by hand.
 //!
 //! Every non-2xx response is the one [`ApiError`] envelope
 //! `{"code", "message", "detail"}`; see DESIGN.md §11 for the
@@ -52,8 +53,9 @@ use netalytics_telemetry::{
 use parking_lot::Mutex;
 
 use crate::admission::AdmissionError;
+use crate::cluster::Cluster;
 use crate::orchestrator::{
-    Orchestrator, OrchestratorBuilder, OrchestratorError, QueryHandle, StandingConfig,
+    Orchestrator, OrchestratorBuilder, OrchestratorError, QueryReport, StandingConfig, TickReport,
 };
 
 /// Maps every orchestrator failure onto the stable wire envelope.
@@ -126,33 +128,33 @@ fn value_json(v: &Value) -> String {
     }
 }
 
-/// Frontend tuning knobs.
+/// Virtual milliseconds the emulation advances per idle tick.
+const IDLE_STEP_MS: u64 = 10;
+
+/// Wall-clock wait for a command before the driver runs an idle tick.
+const POLL_INTERVAL: Duration = Duration::from_micros(500);
+
+/// Virtual milliseconds past a query's LIMIT deadline before the idle
+/// tick auto-kills it (lets in-flight batches land).
+const DEADLINE_GRACE_MS: u64 = 50;
+
+/// Frontend tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct FrontendConfig {
     /// HTTP worker-pool size (streams run on their own threads and do
     /// not consume pool workers).
     pub workers: usize,
-    /// Virtual time the simulation advances per idle tick.
-    pub idle_step: SimDuration,
-    /// Wall-clock pause between idle ticks while the mailbox is empty.
-    pub poll_interval: Duration,
-    /// Virtual-time grace past a query's LIMIT deadline before the
-    /// frontend auto-kills it (lets in-flight batches land).
-    pub deadline_grace: SimDuration,
 }
 
 impl Default for FrontendConfig {
     fn default() -> Self {
         FrontendConfig {
             workers: DEFAULT_WORKERS,
-            idle_step: SimDuration::from_millis(10),
-            poll_interval: Duration::from_micros(500),
-            deadline_grace: SimDuration::from_millis(50),
         }
     }
 }
 
-pub(crate) enum Command {
+enum Command {
     Submit {
         tenant: String,
         query: String,
@@ -169,19 +171,25 @@ pub(crate) enum Command {
     Shutdown,
 }
 
-/// State the HTTP handlers read without involving the orchestrator
-/// thread.
-pub(crate) struct FrontendShared {
-    pub(crate) directory: Arc<QueryDirectory>,
-    pub(crate) store: Option<Arc<dyn ResultBackend>>,
-    pub(crate) metrics: Arc<MetricsRegistry>,
-    /// Live subscription hubs by cookie. Entries persist after kill
-    /// (closed hubs yield immediately-ended streams), bounded by the
-    /// number of queries ever submitted in the frontend's lifetime.
-    pub(crate) hubs: Arc<Mutex<HashMap<u64, Arc<SubscriptionHub>>>>,
-    /// Command mailbox to the orchestrator thread. `Sender` is not
-    /// `Sync`, so handlers clone it under this lock. (cold path)
-    pub(crate) tx: Mutex<Sender<Command>>,
+/// Live subscription hubs by cookie.
+type Hubs = Mutex<HashMap<u64, Arc<SubscriptionHub>>>;
+
+/// What a backend hands the HTTP handlers so reads never cross the
+/// driver thread.
+type ReadSide = (Introspection, Option<Arc<dyn ResultBackend>>);
+
+/// State the HTTP handlers read without involving the driver thread.
+struct FrontendShared {
+    directory: Arc<QueryDirectory>,
+    store: Option<Arc<dyn ResultBackend>>,
+    metrics: Arc<MetricsRegistry>,
+    /// Entries persist after kill (closed hubs yield immediately-ended
+    /// streams), bounded by the number of queries ever submitted in the
+    /// frontend's lifetime.
+    hubs: Arc<Hubs>,
+    /// Command mailbox to the driver thread. `Sender` is not `Sync`, so
+    /// handlers clone it under this lock. (cold path)
+    tx: Mutex<Sender<Command>>,
 }
 
 impl FrontendShared {
@@ -190,17 +198,79 @@ impl FrontendShared {
     }
 }
 
-/// How long an HTTP handler waits for the orchestrator thread to act
-/// on a command before reporting the frontend stalled.
-pub(crate) const COMMAND_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long an HTTP handler waits for the driver thread to act on a
+/// command before reporting the frontend stalled.
+const COMMAND_TIMEOUT: Duration = Duration::from_secs(10);
 
-pub(crate) fn frontend_stalled() -> ApiError {
+fn frontend_stalled() -> ApiError {
     ApiError::new(503, "frontend_stalled", "orchestrator thread unresponsive")
 }
 
-/// The HTTP query frontend. Binds `addr`, builds the orchestrator on a
-/// dedicated thread and serves the lifecycle + introspection routes
-/// until dropped.
+/// What the driver thread needs from whatever runs the queries: one
+/// [`Orchestrator`] it owns, or a shared [`Cluster`] of them.
+trait Backend {
+    /// Deploys a query; the cookie plus the hub `/stream` subscribes to.
+    fn submit(
+        &mut self,
+        tenant: &str,
+        query: &str,
+        standing: Option<StandingConfig>,
+    ) -> Result<(u64, Arc<SubscriptionHub>), OrchestratorError>;
+    fn kill(&mut self, cookie: u64) -> Option<QueryReport>;
+    fn tick(&mut self, step: SimDuration, grace: SimDuration) -> TickReport;
+    fn kill_all(&mut self);
+}
+
+impl Backend for Orchestrator {
+    fn submit(
+        &mut self,
+        tenant: &str,
+        query: &str,
+        standing: Option<StandingConfig>,
+    ) -> Result<(u64, Arc<SubscriptionHub>), OrchestratorError> {
+        self.submit_with(tenant, query, standing)
+    }
+    fn kill(&mut self, cookie: u64) -> Option<QueryReport> {
+        self.kill_by_cookie(cookie)
+    }
+    fn tick(&mut self, step: SimDuration, grace: SimDuration) -> TickReport {
+        Orchestrator::tick(self, step, grace)
+    }
+    fn kill_all(&mut self) {
+        Orchestrator::kill_all(self);
+    }
+}
+
+impl Backend for Arc<Cluster> {
+    fn submit(
+        &mut self,
+        tenant: &str,
+        query: &str,
+        standing: Option<StandingConfig>,
+    ) -> Result<(u64, Arc<SubscriptionHub>), OrchestratorError> {
+        self.submit_routed(tenant, query, standing)
+    }
+    fn kill(&mut self, cookie: u64) -> Option<QueryReport> {
+        Cluster::kill(self, cookie)
+    }
+    fn tick(&mut self, step: SimDuration, grace: SimDuration) -> TickReport {
+        Cluster::tick(self, step, grace)
+    }
+    fn kill_all(&mut self) {
+        Cluster::kill_all(self);
+    }
+}
+
+/// The HTTP query frontend — the one frontend, with two constructors:
+/// [`QueryFrontend::spawn`] builds a single [`Orchestrator`] on the
+/// driver thread and owns it; [`QueryFrontend::spawn_cluster`] fronts a
+/// shared [`Cluster`] and adds the two `/cluster/*` views. Either way
+/// one driver thread applies submit/kill commands and, whenever the
+/// mailbox stays empty for 500 µs of wall clock, runs one control pass
+/// (`tick`: 10 ms of virtual time, 50 ms LIMIT grace). The pass itself —
+/// deadline kills, reconcile, killing the unrepairable — lives on
+/// [`Orchestrator::tick`], not here. Dropping the frontend kills what
+/// is still running and joins the thread.
 ///
 /// # Examples
 ///
@@ -255,16 +325,78 @@ impl QueryFrontend {
         config: FrontendConfig,
         setup: impl FnOnce(&mut Orchestrator) + Send + 'static,
     ) -> io::Result<QueryFrontend> {
+        // The orchestrator is `!Send`: build it on the thread that
+        // will drive it.
+        let build = move || {
+            let mut orch = builder.build();
+            setup(&mut orch);
+            let read_side = (orch.introspection(), orch.result_store().cloned());
+            (orch, read_side)
+        };
+        Self::start(addr, config, build, |_router| {})
+    }
+
+    /// Serves `cluster` over the same lifecycle API (same routes, same
+    /// envelopes), plus two cluster views:
+    ///
+    /// | Route | Effect |
+    /// |---|---|
+    /// | `GET /cluster/metrics` | merged, `shard=`-labelled Prometheus text |
+    /// | `GET /cluster/shards` | per-shard pods / load / clock as JSON |
+    ///
+    /// Configure the cluster (host names, workload apps, tenants)
+    /// before handing it over. Submissions and kills route by
+    /// hostname/cookie exactly as the library calls do; reads (list,
+    /// describe, results, stream) hit the shared directory/store/hubs
+    /// without any shard round trip.
+    ///
+    /// # Errors
+    ///
+    /// Bind/listen/thread-spawn failures.
+    pub fn spawn_cluster(
+        addr: impl ToSocketAddrs,
+        cluster: Arc<Cluster>,
+        config: FrontendConfig,
+    ) -> io::Result<QueryFrontend> {
+        let (metrics_view, shards_view) = (Arc::clone(&cluster), Arc::clone(&cluster));
+        let build = move || {
+            let store = cluster
+                .store()
+                .map(|s| Arc::clone(s) as Arc<dyn ResultBackend>);
+            let read_side = (cluster.introspection(), store);
+            (cluster, read_side)
+        };
+        Self::start(addr, config, build, |router| {
+            router.route("GET", "/cluster/metrics", move |_req| {
+                Response::text(metrics_view.telemetry_report().render_prometheus())
+            });
+            router.route("GET", "/cluster/shards", move |_req| {
+                Response::json(shards_view.shards_json())
+            });
+        })
+    }
+
+    /// Starts the driver thread (which builds its backend in place),
+    /// waits for the backend's read side, and binds the HTTP server.
+    fn start<B: Backend>(
+        addr: impl ToSocketAddrs,
+        config: FrontendConfig,
+        build: impl FnOnce() -> (B, ReadSide) + Send + 'static,
+        extra_routes: impl FnOnce(&mut Router),
+    ) -> io::Result<QueryFrontend> {
         let (tx, rx) = mpsc::channel::<Command>();
-        let (ready_tx, ready_rx) =
-            mpsc::sync_channel::<(Introspection, Option<Arc<dyn ResultBackend>>)>(1);
-        let hubs: Arc<Mutex<HashMap<u64, Arc<SubscriptionHub>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
+        let (ready_tx, ready_rx) = mpsc::sync_channel::<ReadSide>(1);
+        let hubs = Arc::new(Hubs::default());
         let thread_hubs = Arc::clone(&hubs);
-        let setup: Box<dyn FnOnce(&mut Orchestrator) + Send> = Box::new(setup);
         let thread = std::thread::Builder::new()
             .name("netalytics-frontend".into())
-            .spawn(move || orchestrator_loop(builder, setup, config, rx, ready_tx, thread_hubs))?;
+            .spawn(move || {
+                let (backend, read_side) = build();
+                let metrics = Arc::clone(&read_side.0.registry);
+                if ready_tx.send(read_side).is_ok() {
+                    drive(backend, &metrics, &rx, &thread_hubs);
+                }
+            })?;
         let (introspection, store) = ready_rx
             .recv()
             .map_err(|_| io::Error::other("frontend orchestrator failed to start"))?;
@@ -275,7 +407,8 @@ impl QueryFrontend {
             hubs,
             tx: Mutex::new(tx.clone()),
         });
-        let router = frontend_router(&shared, &introspection);
+        let mut router = frontend_router(&shared, &introspection);
+        extra_routes(&mut router);
         let server = TelemetryServer::spawn_router(addr, router, config.workers)?;
         Ok(QueryFrontend {
             server,
@@ -291,13 +424,13 @@ impl QueryFrontend {
     }
 
     /// Programmatic submit, bypassing HTTP but taking the exact same
-    /// path through admission and the orchestrator thread.
+    /// path through admission and the driver thread.
     ///
     /// # Errors
     ///
     /// The same [`ApiError`]s `POST /queries` returns.
     pub fn submit(&self, tenant: &str, query: &str) -> Result<u64, ApiError> {
-        self.submit_command(tenant, query, None)
+        submit_command(&self.tx, tenant, query, None)
     }
 
     /// Programmatic standing submit — the counterpart of
@@ -312,35 +445,12 @@ impl QueryFrontend {
         query: &str,
         cfg: StandingConfig,
     ) -> Result<u64, ApiError> {
-        self.submit_command(tenant, query, Some(cfg))
-    }
-
-    fn submit_command(
-        &self,
-        tenant: &str,
-        query: &str,
-        standing: Option<StandingConfig>,
-    ) -> Result<u64, ApiError> {
-        let (reply, rx) = mpsc::sync_channel(1);
-        self.tx
-            .send(Command::Submit {
-                tenant: tenant.to_string(),
-                query: query.to_string(),
-                standing,
-                reply,
-            })
-            .map_err(|_| frontend_stalled())?;
-        rx.recv_timeout(COMMAND_TIMEOUT)
-            .map_err(|_| frontend_stalled())?
+        submit_command(&self.tx, tenant, query, Some(cfg))
     }
 
     /// Programmatic kill. `true` when the cookie named a running query.
     pub fn kill(&self, cookie: u64) -> bool {
-        let (reply, rx) = mpsc::sync_channel(1);
-        if self.tx.send(Command::Kill { cookie, reply }).is_err() {
-            return false;
-        }
-        matches!(rx.recv_timeout(COMMAND_TIMEOUT), Ok(Ok(_)))
+        matches!(kill_command(&self.tx, cookie), Ok(Ok(_)))
     }
 
     /// The query directory the HTTP surface serves.
@@ -365,45 +475,57 @@ impl Drop for QueryFrontend {
     }
 }
 
-/// The orchestrator thread: applies commands, and between commands
-/// advances virtual time, reconciles, refreshes health and enforces
-/// LIMIT deadlines.
-fn orchestrator_loop(
-    builder: OrchestratorBuilder,
-    setup: Box<dyn FnOnce(&mut Orchestrator) + Send>,
-    config: FrontendConfig,
-    rx: Receiver<Command>,
-    ready_tx: SyncSender<(Introspection, Option<Arc<dyn ResultBackend>>)>,
-    hubs: Arc<Mutex<HashMap<u64, Arc<SubscriptionHub>>>>,
+/// Sends a submit to the driver thread and waits for its verdict.
+fn submit_command(
+    tx: &Sender<Command>,
+    tenant: &str,
+    query: &str,
+    standing: Option<StandingConfig>,
+) -> Result<u64, ApiError> {
+    let (reply, rx) = mpsc::sync_channel(1);
+    tx.send(Command::Submit {
+        tenant: tenant.to_string(),
+        query: query.to_string(),
+        standing,
+        reply,
+    })
+    .map_err(|_| frontend_stalled())?;
+    rx.recv_timeout(COMMAND_TIMEOUT)
+        .map_err(|_| frontend_stalled())?
+}
+
+/// Sends a kill to the driver thread: the teardown summary, `Err(())`
+/// inside for an unknown cookie, or the stall error outside.
+fn kill_command(tx: &Sender<Command>, cookie: u64) -> Result<Result<String, ()>, ApiError> {
+    let (reply, rx) = mpsc::sync_channel(1);
+    tx.send(Command::Kill { cookie, reply })
+        .map_err(|_| frontend_stalled())?;
+    rx.recv_timeout(COMMAND_TIMEOUT)
+        .map_err(|_| frontend_stalled())
+}
+
+/// The driver thread: applies commands, and between commands runs the
+/// backend's control pass. On shutdown it tears down whatever is still
+/// running so sinks flush and subscribers see end-of-stream.
+fn drive<B: Backend>(
+    mut backend: B,
+    metrics: &MetricsRegistry,
+    rx: &Receiver<Command>,
+    hubs: &Hubs,
 ) {
-    let mut orch = builder.build();
-    setup(&mut orch);
-    let metrics = Arc::clone(orch.metrics());
-    if ready_tx
-        .send((orch.introspection(), orch.result_store().cloned()))
-        .is_err()
-    {
-        return;
-    }
-    let mut handles: HashMap<u64, QueryHandle> = HashMap::new();
+    let step = SimDuration::from_millis(IDLE_STEP_MS);
+    let grace = SimDuration::from_millis(DEADLINE_GRACE_MS);
     loop {
-        match rx.recv_timeout(config.poll_interval) {
+        match rx.recv_timeout(POLL_INTERVAL) {
             Ok(Command::Submit {
                 tenant,
                 query,
                 standing,
                 reply,
             }) => {
-                let submitted = match standing {
-                    Some(cfg) => orch.submit_standing_as(&tenant, &query, cfg),
-                    None => orch.submit_as(&tenant, &query),
-                };
-                let outcome = match submitted {
-                    Ok(handle) => {
-                        let cookie = handle.cookie();
-                        hubs.lock()
-                            .insert(cookie, Arc::clone(handle.subscription_hub()));
-                        handles.insert(cookie, handle);
+                let outcome = match backend.submit(&tenant, &query, standing) {
+                    Ok((cookie, hub)) => {
+                        hubs.lock().insert(cookie, hub);
                         metrics.counter("frontend.submitted", &[]).inc();
                         Ok(cookie)
                     }
@@ -415,8 +537,7 @@ fn orchestrator_loop(
                 let _ = reply.send(outcome);
             }
             Ok(Command::Kill { cookie, reply }) => {
-                handles.remove(&cookie);
-                let outcome = match orch.kill_by_cookie(cookie) {
+                let outcome = match backend.kill(cookie) {
                     Some(report) => {
                         metrics.counter("frontend.killed", &[]).inc();
                         Ok(kill_summary_json(cookie, &report))
@@ -425,53 +546,24 @@ fn orchestrator_loop(
                 };
                 let _ = reply.send(outcome);
             }
-            Ok(Command::Shutdown) => break,
-            Err(RecvTimeoutError::Disconnected) => break,
+            Ok(Command::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {
-                idle_tick(&mut orch, &config, &metrics, &mut handles);
+                let report = backend.tick(step, grace);
+                for (name, kills) in [
+                    ("frontend.deadline_kills", report.deadline_kills),
+                    ("frontend.unrepairable_kills", report.unrepairable_kills),
+                ] {
+                    if kills > 0 {
+                        metrics.counter(name, &[]).add(kills as u64);
+                    }
+                }
             }
         }
     }
-    // Tear down whatever is still running so sinks flush and
-    // subscribers see end-of-stream.
-    let cookies: Vec<u64> = handles.keys().copied().collect();
-    for cookie in cookies {
-        let _ = orch.kill_by_cookie(cookie);
-    }
+    backend.kill_all();
 }
 
-/// One idle pass: advance the emulation, auto-kill past-deadline
-/// queries, reconcile the rest (which also refreshes directory
-/// health). Unrepairable queries are killed rather than left zombied.
-fn idle_tick(
-    orch: &mut Orchestrator,
-    config: &FrontendConfig,
-    metrics: &MetricsRegistry,
-    handles: &mut HashMap<u64, QueryHandle>,
-) {
-    let step = orch.now() + config.idle_step;
-    orch.run_until(step);
-    let cookies: Vec<u64> = handles.keys().copied().collect();
-    for cookie in cookies {
-        let handle = handles[&cookie].clone();
-        let expired = handle
-            .deadline()
-            .is_some_and(|d| orch.now() >= d + config.deadline_grace);
-        if expired {
-            handles.remove(&cookie);
-            let _ = orch.kill_by_cookie(cookie);
-            metrics.counter("frontend.deadline_kills", &[]).inc();
-            continue;
-        }
-        if orch.reconcile(&handle).is_err() {
-            handles.remove(&cookie);
-            let _ = orch.kill_by_cookie(cookie);
-            metrics.counter("frontend.unrepairable_kills", &[]).inc();
-        }
-    }
-}
-
-pub(crate) fn kill_summary_json(cookie: u64, report: &crate::orchestrator::QueryReport) -> String {
+fn kill_summary_json(cookie: u64, report: &QueryReport) -> String {
     let mut s = format!("{{\"cookie\":{cookie},\"state\":\"killed\",\"results\":[");
     for (i, (name, set)) in report.results.iter().enumerate() {
         if i > 0 {
@@ -507,10 +599,7 @@ fn tuples_payload(cookie: u64, mode: &str, tuples: &[DataTuple]) -> String {
 
 /// The full frontend router: introspection routes plus the query
 /// lifecycle.
-pub(crate) fn frontend_router(
-    shared: &Arc<FrontendShared>,
-    introspection: &Introspection,
-) -> Router {
+fn frontend_router(shared: &Arc<FrontendShared>, introspection: &Introspection) -> Router {
     let mut router = introspection_router(introspection);
 
     // Submit: body is the SQL-ish query text; tenant comes from the
@@ -599,22 +688,9 @@ fn submit_request(shared: &Arc<FrontendShared>, req: &Request) -> Result<String,
     let tenant = req
         .query_param("tenant")
         .or_else(|| req.header("x-tenant"))
-        .unwrap_or("default")
-        .to_string();
+        .unwrap_or("default");
     let standing = parse_standing(req)?;
-    let (reply, rx) = mpsc::sync_channel(1);
-    shared
-        .sender()
-        .send(Command::Submit {
-            tenant,
-            query: query.to_string(),
-            standing,
-            reply,
-        })
-        .map_err(|_| frontend_stalled())?;
-    let cookie = rx
-        .recv_timeout(COMMAND_TIMEOUT)
-        .map_err(|_| frontend_stalled())??;
+    let cookie = submit_command(&shared.sender(), tenant, query, standing)?;
     let info = shared
         .directory
         .get(cookie)
@@ -624,19 +700,10 @@ fn submit_request(shared: &Arc<FrontendShared>, req: &Request) -> Result<String,
 
 fn kill_request(shared: &Arc<FrontendShared>, req: &Request) -> Result<String, ApiError> {
     let cookie = req.cookie_param("cookie")?;
-    let (reply, rx) = mpsc::sync_channel(1);
-    shared
-        .sender()
-        .send(Command::Kill { cookie, reply })
-        .map_err(|_| frontend_stalled())?;
-    match rx.recv_timeout(COMMAND_TIMEOUT) {
-        Ok(Ok(summary)) => Ok(summary),
-        Ok(Err(())) => Err(
-            ApiError::not_found(format!("no running query with cookie {cookie}"))
-                .with_detail("already killed, or never submitted"),
-        ),
-        Err(_) => Err(frontend_stalled()),
-    }
+    kill_command(&shared.sender(), cookie)?.map_err(|()| {
+        ApiError::not_found(format!("no running query with cookie {cookie}"))
+            .with_detail("already killed, or never submitted")
+    })
 }
 
 fn results_request(shared: &Arc<FrontendShared>, req: &Request) -> Result<String, ApiError> {

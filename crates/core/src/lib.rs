@@ -59,7 +59,7 @@ pub mod results;
 pub use admission::{
     AdmissionController, AdmissionError, ResourceDemand, Tenant, TenantQuota, DEFAULT_TENANT,
 };
-pub use cluster::{Cluster, ClusterConfig, ClusterFrontend, PodKillReport, TickReport};
+pub use cluster::{Cluster, ClusterConfig, PodKillReport};
 pub use frontend::{tuple_json, FrontendConfig, QueryFrontend};
 pub use nfv::{
     shared_executor, shared_executor_with, AggregatorApp, AggregatorHandle, AggregatorShared,
@@ -67,7 +67,7 @@ pub use nfv::{
 };
 pub use orchestrator::{
     FailurePolicy, MonitorSlot, Orchestrator, OrchestratorBuilder, OrchestratorError, QueryHandle,
-    QueryReport, ReconcileReport, RunningQuery, StandingConfig,
+    QueryReport, ReconcileReport, RunningQuery, StandingConfig, TickReport,
 };
 pub use results::ResultSet;
 // Live-subscription surface re-exported from the stream layer, so

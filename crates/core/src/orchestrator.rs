@@ -620,6 +620,26 @@ pub struct ReconcileReport {
     pub degraded: bool,
 }
 
+/// What one [`Orchestrator::tick`] control pass did (summed across
+/// shards by [`crate::Cluster::tick`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TickReport {
+    /// Monitors/aggregators re-placed onto fresh hosts.
+    pub replaced: usize,
+    /// Queries killed because their LIMIT deadline (plus grace) passed.
+    pub deadline_kills: usize,
+    /// Queries killed because reconcile could not repair them.
+    pub unrepairable_kills: usize,
+}
+
+impl TickReport {
+    pub(crate) fn absorb(&mut self, other: TickReport) {
+        self.replaced += other.replaced;
+        self.deadline_kills += other.deadline_kills;
+        self.unrepairable_kills += other.unrepairable_kills;
+    }
+}
+
 /// Results and statistics of a completed query.
 #[derive(Debug)]
 pub struct QueryReport {
@@ -1331,6 +1351,21 @@ impl Orchestrator {
         Ok(handle)
     }
 
+    /// Submit as the frontends' mailbox carries it — plain or standing —
+    /// returning what crosses threads: the cookie and the live hub.
+    pub(crate) fn submit_with(
+        &mut self,
+        tenant: &str,
+        query_src: &str,
+        standing: Option<StandingConfig>,
+    ) -> Result<(u64, Arc<SubscriptionHub>), OrchestratorError> {
+        let handle = match standing {
+            Some(cfg) => self.submit_standing_as(tenant, query_src, cfg),
+            None => self.submit_as(tenant, query_src),
+        }?;
+        Ok((handle.cookie, handle.hub))
+    }
+
     /// The derived series a query's standing aggregates materialize
     /// into, if the query is standing.
     pub fn standing_series(&self, cookie: u64) -> Option<SeriesKey> {
@@ -1514,12 +1549,19 @@ impl Orchestrator {
     /// `reconcile.tuples_lost`, `reconcile.replacements` and
     /// `reconcile.degradations` into the telemetry registry.
     ///
+    /// A handle may outlive its query (killed, or evicted behind the
+    /// holder's back): reconciling one is a no-op that repairs, claims
+    /// and records nothing.
+    ///
     /// # Errors
     ///
     /// [`OrchestratorError::ReplacementFailed`] when a detected failure
     /// cannot be repaired (no live free host, or the query's
     /// replacement budget ran out).
     pub fn reconcile(&mut self, q: &QueryHandle) -> Result<ReconcileReport, OrchestratorError> {
+        if !self.registry.contains_key(&q.cookie) {
+            return Ok(ReconcileReport::default());
+        }
         let report = {
             let mut inner = q.inner.borrow_mut();
             self.reconcile_inner(&mut inner)
@@ -1598,10 +1640,14 @@ impl Orchestrator {
                     host: old,
                 });
             }
-            // Retire what is left of the old monitor: stop it, purge its
-            // mirror rules from the data plane AND the controller's
-            // desired state (so reactive pulls cannot resurrect them).
+            // Retire what is left of the old monitor: stop and undeploy
+            // it (a stale process on a live host may still be ticking,
+            // and its pending timers would fire on the host's next
+            // tenant), purge its mirror rules from the data plane AND
+            // the controller's desired state (so reactive pulls cannot
+            // resurrect them).
             handle.borrow_mut().stopped = true;
+            self.engine.clear_app(old);
             self.engine.remove_mirrors_to(old);
             if let Some(ctl) = self.engine.controller_mut() {
                 ctl.remove_mirrors_to(old);
@@ -1881,6 +1927,50 @@ impl Orchestrator {
         }
     }
 
+    /// Kills every running query; returns how many were torn down.
+    pub fn kill_all(&mut self) -> usize {
+        let running = self.running_queries();
+        for q in &running {
+            self.kill(q);
+        }
+        running.len()
+    }
+
+    /// One control pass — the single place the query lifecycle is
+    /// enforced, whoever drives the clock (a frontend's driver thread,
+    /// [`crate::Cluster::tick`], a test): advance the emulation by
+    /// `step`, then for every running query in ascending cookie order
+    /// kill it if its LIMIT deadline passed `grace` ago (the grace lets
+    /// in-flight batches land), otherwise [`Orchestrator::reconcile`]
+    /// it (which also refreshes its directory health) and kill it if it
+    /// cannot be repaired rather than leave it zombied. With nothing
+    /// running this only advances the clock.
+    pub fn tick(&mut self, step: SimDuration, grace: SimDuration) -> TickReport {
+        let target = self.engine.now() + step;
+        self.engine.run_until(target);
+        let mut report = TickReport::default();
+        for q in self.running_queries() {
+            if q.deadline().is_some_and(|d| target >= d + grace) {
+                self.kill(&q);
+                report.deadline_kills += 1;
+                continue;
+            }
+            match self.reconcile(&q) {
+                Ok(r) => report.replaced += r.replaced.len(),
+                Err(_) => {
+                    self.kill(&q);
+                    report.unrepairable_kills += 1;
+                }
+            }
+        }
+        report
+    }
+
+    /// How many queries are running.
+    pub fn num_running(&self) -> usize {
+        self.registry.len()
+    }
+
     /// Handles to every currently running query, newest-cookie last.
     pub fn running_queries(&self) -> Vec<QueryHandle> {
         let mut cookies: Vec<u64> = self.registry.keys().copied().collect();
@@ -2094,6 +2184,64 @@ mod tests {
         assert_eq!(
             per_cycle[4], per_cycle[49],
             "cycle 50 costs what cycle 5 did: {per_cycle:?}"
+        );
+    }
+
+    /// Same event-count method, for the reconciler's own undeploy: a
+    /// monitor process that wedges on a live host (still ticking, no
+    /// heartbeat) must be undeployed when it is re-placed. Left in
+    /// place, its timers keep firing — on the replacement itself when
+    /// placement reuses the freed host — and every tick costs more
+    /// than before the fault, forever.
+    #[test]
+    fn fault_stale_monitor_on_live_host_is_undeployed_on_replacement() {
+        /// Re-arms every 10 ms like a monitor, never heartbeats.
+        struct Wedged;
+        impl App for Wedged {
+            fn on_start(&mut self, ctx: &mut netalytics_netsim::Ctx<'_>) {
+                ctx.timer_in(SimDuration::from_millis(10), 0);
+            }
+            fn on_packet(
+                &mut self,
+                _p: &netalytics_packet::Packet,
+                _c: &mut netalytics_netsim::Ctx<'_>,
+            ) {
+            }
+            fn on_timer(&mut self, _token: u64, ctx: &mut netalytics_netsim::Ctx<'_>) {
+                ctx.timer_in(SimDuration::from_millis(10), 0);
+            }
+        }
+        let mut orch = Orchestrator::builder(4).build();
+        orch.name_host("web", 1);
+        let (hb, grace) = (orch.heartbeat_interval(), SimDuration::from_millis(50));
+        // Engine events over ten control passes. No workload runs, so
+        // every event is NF tick work.
+        let events_per_ten_ticks = |orch: &mut Orchestrator| {
+            let before = orch.engine().stats().events;
+            for _ in 0..10 {
+                assert_eq!(orch.tick(hb, grace).unrepairable_kills, 0);
+            }
+            orch.engine().stats().events - before
+        };
+        let q = orch
+            .submit("PARSE http_get FROM * TO web:80 LIMIT 10s SAMPLE * PROCESS (group-sum)")
+            .expect("submit");
+        events_per_ten_ticks(&mut orch); // deployment settles
+        let healthy = events_per_ten_ticks(&mut orch);
+        assert!(healthy > 0, "a live query does tick");
+
+        let victim = q.monitor_hosts()[0];
+        orch.engine_mut().set_app(victim, Box::new(Wedged));
+        // Staleness trips after miss_threshold beats; ten passes cover
+        // detection, re-placement and the retired app's last events.
+        events_per_ten_ticks(&mut orch);
+        assert_eq!(q.replacements(), 1, "the wedged monitor was re-placed");
+        assert!(orch.engine().host_is_up(victim), "its host never went down");
+        assert!(orch.query_is_healthy(&q));
+        assert_eq!(
+            events_per_ten_ticks(&mut orch),
+            healthy,
+            "tick work is back to the pre-fault level"
         );
     }
 
@@ -2634,6 +2782,71 @@ mod reactive_tests {
         assert!(orch.telemetry_report().counter_total("admission.evictions") >= 1);
         // The victim's live subscribers saw end-of-stream.
         assert!(victim.subscription_hub().is_closed());
+    }
+
+    /// An evicted query leaves `registry` behind its handle's back. A
+    /// control pass — or anyone still holding the handle — must never
+    /// reconcile it again: the aggregator branch of reconcile would
+    /// fail it over onto a fresh host that nothing ever frees.
+    #[test]
+    fn fault_evicted_query_is_never_reconciled_again() {
+        use crate::admission::{Tenant, TenantQuota};
+        use netalytics_telemetry::QueryState;
+
+        let mut orch = Orchestrator::builder(4)
+            .tenant(Tenant::new("bulk", TenantQuota::UNLIMITED, 10))
+            .tenant(Tenant::new("ops", TenantQuota::UNLIMITED, 200))
+            .build();
+        deploy_web(&mut orch);
+        const Q: &str = "PARSE http_get FROM * TO web:80 LIMIT 1s SAMPLE * PROCESS (group-sum)";
+        let victim = orch.submit_as("bulk", Q).expect("bulk submit");
+        let old_aggregator = victim.aggregator_host();
+        // Fill the fabric so the next placement must evict.
+        let hosts = orch.engine().network().num_hosts();
+        let spare: Vec<HostIdx> = (0..hosts)
+            .filter(|h| !orch.used_hosts.contains(h))
+            .collect();
+        orch.used_hosts.extend(0..hosts);
+        let winner = orch.submit_as("ops", Q).expect("evicts bulk");
+        assert!(orch.handle_for(victim.cookie()).is_none(), "evicted");
+        // Room to repair: whoever reconciles after the fault below can
+        // claim a host, so a wrongful claim would succeed and show.
+        for h in &spare {
+            orch.used_hosts.remove(h);
+        }
+        let journaled = orch.journal().kinds_for(victim.cookie());
+        let entry = victim.status().expect("directory entry");
+        assert_eq!(entry.state, QueryState::Killed);
+        let claimed = orch.used_hosts.len();
+
+        orch.engine_mut().fail_host(old_aggregator);
+        let hb = orch.heartbeat_interval();
+        for _ in 0..5 {
+            let report = orch.tick(hb, SimDuration::from_millis(50));
+            assert_eq!((report.deadline_kills, report.unrepairable_kills), (0, 0));
+        }
+        let stale = orch.reconcile(&victim).expect("stale handle is a no-op");
+        assert!(stale.replaced.is_empty() && stale.tuples_lost == 0 && !stale.degraded);
+
+        assert_eq!(
+            orch.journal().kinds_for(victim.cookie()),
+            journaled,
+            "no Failover / ReconcileDecision under the dead cookie"
+        );
+        let after = victim.status().expect("directory entry");
+        assert_eq!(
+            (after.state, after.updated_ns, after.replacements),
+            (QueryState::Killed, entry.updated_ns, entry.replacements),
+            "the victim's directory entry is untouched"
+        );
+        assert_eq!(victim.replacements(), 0);
+        assert_eq!(victim.aggregator_host(), old_aggregator, "never re-placed");
+        // The evictor may have reused the failed host and legitimately
+        // failed over: that swaps one claim for another. Nothing else
+        // may claim a host.
+        assert_eq!(orch.used_hosts.len(), claimed, "no host claimed for it");
+        assert!(orch.handle_for(winner.cookie()).is_some());
+        assert!(orch.query_is_healthy(&winner));
     }
 
     #[test]

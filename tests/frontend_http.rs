@@ -1,19 +1,24 @@
 //! Integration: the production query frontend over real sockets.
 //!
-//! A [`QueryFrontend`] owns the orchestrator on its own thread while
-//! HTTP clients drive the full lifecycle — submit, describe, stream,
-//! kill, history — plus the multi-tenant admission surface: over-quota
+//! A [`QueryFrontend`] drives its backend — one orchestrator, or a
+//! sharded cluster — on its own thread while HTTP clients drive the
+//! full lifecycle — submit, describe, stream, kill, history, LIMIT
+//! expiry — plus the multi-tenant admission surface: over-quota
 //! tenants get a typed 429 envelope, and a high-priority submission
 //! evicts a low-priority query when the fabric is full.
 
 use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use netalytics::{Orchestrator, QueryFrontend, Tenant, TenantQuota, TimeSeriesStore};
+use netalytics::cluster::{Cluster, ClusterConfig};
+use netalytics::{
+    FrontendConfig, Orchestrator, QueryFrontend, ShardedConfig, ShardedStore, Tenant, TenantQuota,
+    TimeSeriesStore,
+};
 use netalytics_apps::{sample_sink, ClientApp, Conversation, StaticHttpBehavior, TierApp};
-use netalytics_netsim::SimTime;
+use netalytics_netsim::{App, SimTime};
 use netalytics_packet::http;
 use netalytics_sdn::InstallMode;
 use netalytics_store::{AggValue, HistoryAgg, HistoryQuery, SeriesKey, StoreConfig};
@@ -27,15 +32,13 @@ const QUERY: &str = "PARSE http_get FROM * TO web:80 LIMIT 600s SAMPLE * \
 /// Native rollup bucket of the stores that need sealed history.
 const BUCKET_NS: u64 = 100_000_000;
 
-/// Web tier on host 1, a client on host 0 driving conversations for a
-/// long stretch of virtual time so streams always have traffic to show.
-fn deploy_web(orch: &mut Orchestrator) {
-    orch.name_host("web", 1);
-    let web_ip = orch.host_ip(1);
-    orch.deploy_app(
-        1,
-        Box::new(TierApp::new(80, Box::new(StaticHttpBehavior::new(1.0, 3)))),
-    );
+fn web_tier() -> Box<dyn App> {
+    Box::new(TierApp::new(80, Box::new(StaticHttpBehavior::new(1.0, 3))))
+}
+
+/// A client driving conversations at the web tier for a long stretch of
+/// virtual time so streams always have traffic to show.
+fn web_client(web_ip: Ipv4Addr) -> Box<dyn App> {
     let schedule = (0..20_000u64)
         .map(|i| {
             (
@@ -51,7 +54,14 @@ fn deploy_web(orch: &mut Orchestrator) {
             )
         })
         .collect();
-    orch.deploy_app(0, Box::new(ClientApp::new(schedule, sample_sink())));
+    Box::new(ClientApp::new(schedule, sample_sink()))
+}
+
+/// Web tier on host 1, its client on host 0.
+fn deploy_web(orch: &mut Orchestrator) {
+    orch.name_host("web", 1);
+    orch.deploy_app(1, web_tier());
+    orch.deploy_app(0, web_client(orch.host_ip(1)));
 }
 
 /// Minimal blocking HTTP/1.1 request. Returns (status-line, body) with
@@ -119,15 +129,86 @@ fn extract_cookie(descriptor: &str) -> u64 {
         .expect("cookie digits")
 }
 
-/// The headline acceptance flow, on one SDN plane: POST a query, watch
-/// it in the directory, read live NDJSON results off the stream, DELETE
-/// it, then pull its durable history from the results endpoint.
-fn lifecycle_on(mode: InstallMode) {
-    let store = Arc::new(TimeSeriesStore::in_memory());
-    let builder = Orchestrator::builder(4)
-        .install_mode(mode)
-        .result_store(store);
-    let frontend = QueryFrontend::spawn("127.0.0.1:0", builder, deploy_web).expect("spawn");
+/// A counter's value on `/metrics` (0 while the series does not exist).
+fn counter(addr: SocketAddr, name: &str) -> u64 {
+    let (_, metrics) = get(addr, "/metrics");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Asserts a counter settles at exactly `want`. The driver publishes a
+/// pass's counts just after the directory shows its kills, so reaching
+/// `want` is awaited; overshooting it is the failure.
+fn assert_counter(addr: SocketAddr, name: &str, want: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while counter(addr, name) < want {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{name} stuck at {}, want {want}",
+            counter(addr, name)
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(counter(addr, name), want, "{name}");
+}
+
+/// Polls the directory until `cookie` is reported killed.
+fn wait_killed(addr: SocketAddr, cookie: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, one) = get(addr, &format!("/queries/{cookie}"));
+        if one.contains("\"state\":\"killed\"") {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "query {cookie} never killed: {one}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// What the frontend under test drives.
+#[derive(Clone, Copy)]
+enum Backend {
+    /// One orchestrator, built on the frontend's thread.
+    Single(InstallMode),
+    /// A 2-shard cluster over a k=8 fabric; `web` lives on shard 1.
+    Cluster,
+}
+
+/// The headline acceptance flow, identical over either backend: POST a
+/// query, watch it in the directory, read live NDJSON results off the
+/// stream, DELETE it, pull its durable history from the results
+/// endpoint, and let a second query run into its LIMIT.
+fn lifecycle_on(backend: Backend) {
+    let frontend = match backend {
+        Backend::Single(mode) => {
+            let builder = Orchestrator::builder(4)
+                .install_mode(mode)
+                .result_store(Arc::new(TimeSeriesStore::in_memory()));
+            QueryFrontend::spawn("127.0.0.1:0", builder, deploy_web)
+        }
+        Backend::Cluster => {
+            let cluster = Cluster::new(ClusterConfig {
+                store: Some(Arc::new(ShardedStore::in_memory(ShardedConfig::default()))),
+                ..ClusterConfig::default()
+            });
+            // Host 65 sits in pod 4, the first pod of shard 1.
+            cluster.name_host("web", 65);
+            cluster.deploy_app_on(65, web_tier);
+            let web_ip = cluster.host_ip(65);
+            cluster.deploy_app_on(64, move || web_client(web_ip));
+            QueryFrontend::spawn_cluster(
+                "127.0.0.1:0",
+                Arc::new(cluster),
+                FrontendConfig::default(),
+            )
+        }
+    }
+    .expect("spawn");
     let addr = frontend.local_addr();
 
     // Submit over the wire; the 201 body is the directory descriptor.
@@ -231,16 +312,52 @@ fn lifecycle_on(mode: InstallMode) {
     for kind in ["query_submitted", "query_deployed", "query_killed"] {
         assert!(events.contains(kind), "{kind} missing from {events}");
     }
+
+    // LIMIT expiry: nobody deletes this one; the control pass does,
+    // once the deadline plus its grace has passed in virtual time.
+    assert_eq!(counter(addr, "frontend_deadline_kills"), 0);
+    let short = QUERY.replace("LIMIT 600s", "LIMIT 300ms");
+    let (status, descriptor) = request(addr, "POST", "/queries", &[], &short);
+    assert!(status.contains("201"), "{status}: {descriptor}");
+    let expiring = extract_cookie(&descriptor);
+    wait_killed(addr, expiring);
+    assert_counter(addr, "frontend_deadline_kills", 1);
+    let (status, _) = request(addr, "DELETE", &format!("/queries/{expiring}"), &[], "");
+    assert!(status.contains("404"), "already torn down: {status}");
+
+    // The cluster views exist exactly when a cluster is behind the API.
+    let (shards_status, shards) = get(addr, "/cluster/shards");
+    let (metrics_status, metrics) = get(addr, "/cluster/metrics");
+    match backend {
+        Backend::Single(_) => {
+            assert!(shards_status.contains("404"), "{shards_status}");
+            assert!(metrics_status.contains("404"), "{metrics_status}");
+        }
+        Backend::Cluster => {
+            for c in [cookie, expiring] {
+                assert_eq!(Cluster::shard_of_cookie(c), 1, "web routed to shard 1");
+            }
+            assert!(shards_status.contains("200"), "shards: {shards_status}");
+            assert!(shards.contains("\"index\":0") && shards.contains("\"index\":1"));
+            assert!(metrics_status.contains("200"), "metrics: {metrics_status}");
+            assert!(metrics.contains("shard=\"1\""), "shard labels rendered");
+        }
+    }
 }
 
 #[test]
 fn frontend_lifecycle_proactive_plane() {
-    lifecycle_on(InstallMode::Proactive);
+    lifecycle_on(Backend::Single(InstallMode::Proactive));
 }
 
 #[test]
 fn frontend_lifecycle_reactive_plane() {
-    lifecycle_on(InstallMode::Reactive);
+    lifecycle_on(Backend::Single(InstallMode::Reactive));
+}
+
+#[test]
+fn frontend_lifecycle_cluster_backend() {
+    lifecycle_on(Backend::Cluster);
 }
 
 /// Submitting garbage is a 400 with the stable envelope, and an unknown
@@ -494,9 +611,15 @@ fn frontend_standing_query_materializes_over_http() {
 /// Priority eviction over the wire: bulk (priority 10) fills the
 /// fabric until a submit hits 503 `no_free_host`; then ops
 /// (priority 200) submits, a bulk query is evicted to make room, and
-/// the eviction is visible in the directory and the journal.
+/// the eviction is visible in the directory and the journal. Once the
+/// LIMIT has passed, the evicted query is not counted a second time as
+/// a deadline kill.
 #[test]
 fn frontend_priority_eviction_frees_capacity() {
+    // 20 virtual seconds: at least a wall-clock second of idle ticks,
+    // ample for the requests that must land while everything runs.
+    let query = QUERY.replace("LIMIT 600s", "LIMIT 20s");
+    let query = query.as_str();
     let builder = Orchestrator::builder(4)
         .tenant(Tenant::new("bulk", TenantQuota::UNLIMITED, 10))
         .tenant(Tenant::new("ops", TenantQuota::UNLIMITED, 200));
@@ -507,7 +630,7 @@ fn frontend_priority_eviction_frees_capacity() {
     let mut bulk_cookies = Vec::new();
     let mut saturated = false;
     for _ in 0..8 {
-        let (status, body) = request(addr, "POST", "/queries?tenant=bulk", &[], QUERY);
+        let (status, body) = request(addr, "POST", "/queries?tenant=bulk", &[], query);
         if status.contains("201") {
             bulk_cookies.push(extract_cookie(&body));
         } else {
@@ -521,7 +644,7 @@ fn frontend_priority_eviction_frees_capacity() {
     assert!(!bulk_cookies.is_empty(), "some bulk queries were admitted");
 
     // Ops outranks bulk: its submission evicts instead of failing.
-    let (status, descriptor) = request(addr, "POST", "/queries?tenant=ops", &[], QUERY);
+    let (status, descriptor) = request(addr, "POST", "/queries?tenant=ops", &[], query);
     assert!(
         status.contains("201"),
         "eviction made room: {status}: {descriptor}"
@@ -545,4 +668,13 @@ fn frontend_priority_eviction_frees_capacity() {
         events.contains(r#"higher-priority \"ops\""#),
         "victim's record names the evictor: {events}"
     );
+
+    // Every query still running is killed by its LIMIT; the counter
+    // must name those and not the victim, whose deadline passes too.
+    let ops_cookie = extract_cookie(&descriptor);
+    for &c in bulk_cookies.iter().chain([&ops_cookie]) {
+        wait_killed(addr, c);
+    }
+    // The surviving bulk queries plus ops, not the evicted one.
+    assert_counter(addr, "frontend_deadline_kills", bulk_cookies.len() as u64);
 }

@@ -13,6 +13,10 @@
 //! A second check keeps rows out of the monitor: parsers emit columns
 //! and the lane seals column batches, so outside its `#[cfg(test)]`
 //! modules no file under `crates/monitor/src` may name the row types.
+//!
+//! A third keeps the control plane single: one mailbox loop drives
+//! every frontend, `Orchestrator::registry` is the only map of running
+//! queries, and the second frontend type stays deleted.
 
 use std::fs;
 use std::path::Path;
@@ -41,6 +45,11 @@ const JUSTIFICATIONS: &[&str] = &["per-batch", "cold path"];
 fn is_comment(line: &str) -> bool {
     let t = line.trim_start();
     t.starts_with("//") || t.starts_with("///") || t.starts_with("//!")
+}
+
+/// `src` minus its trailing `#[cfg(test)]` modules.
+fn non_test_code(src: &str) -> &str {
+    src.split("#[cfg(test)]").next().unwrap_or("")
 }
 
 #[test]
@@ -111,8 +120,7 @@ fn monitor_sources_name_no_row_types_outside_tests() {
         let src = fs::read_to_string(path).expect("readable source");
         // Test modules sit at the end of each file and may read batches
         // back as rows to state their expectations.
-        let code = src.split("#[cfg(test)]").next().unwrap_or("");
-        for (i, line) in code.lines().enumerate() {
+        for (i, line) in non_test_code(&src).lines().enumerate() {
             if !is_comment(line) && ROW_TYPES.iter().any(|t| line.contains(t)) {
                 violations.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
             }
@@ -122,5 +130,60 @@ fn monitor_sources_name_no_row_types_outside_tests() {
         violations.is_empty(),
         "row types in monitor code — parsers and the lane emit columns only:\n{}",
         violations.join("\n")
+    );
+}
+
+#[test]
+fn control_plane_has_one_driver_loop_and_no_shadow_registry() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut core = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut core);
+    assert!(
+        core.len() >= 8,
+        "expected the core crate's sources, found {} — did the crate move?",
+        core.len()
+    );
+    let (mut loops, mut shadows) = (Vec::new(), Vec::new());
+    for path in &core {
+        let src = fs::read_to_string(path).expect("readable source");
+        for (i, line) in non_test_code(&src).lines().enumerate() {
+            let at = || format!("{}:{}: {}", path.display(), i + 1, line.trim());
+            if line.contains("Ok(Command::Submit") {
+                loops.push(at());
+            }
+            if line.contains("HashMap<u64, QueryHandle>") {
+                shadows.push(at());
+            }
+        }
+    }
+    assert_eq!(
+        loops.len(),
+        1,
+        "exactly one mailbox loop may apply frontend commands:\n{}",
+        loops.join("\n")
+    );
+    assert!(
+        shadows.is_empty(),
+        "a handle map beside `Orchestrator::registry` goes stale on eviction \
+         — ask the orchestrator (`handle_for`, `running_queries`, `tick`):\n{}",
+        shadows.join("\n")
+    );
+
+    // The deleted twin of `QueryFrontend` must not come back, tests
+    // and examples included (spelled in halves so this file passes).
+    let deleted = concat!("Cluster", "Frontend");
+    let mut everywhere = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut everywhere);
+    }
+    let revived: Vec<String> = everywhere
+        .iter()
+        .filter(|p| fs::read_to_string(p).is_ok_and(|src| src.contains(deleted)))
+        .map(|p| p.display().to_string())
+        .collect();
+    assert!(
+        revived.is_empty(),
+        "{deleted} is back — serve a cluster through `QueryFrontend::spawn_cluster`:\n{}",
+        revived.join("\n")
     );
 }

@@ -1,18 +1,14 @@
 //! Scale-out control plane end-to-end: orchestrator shards behind the
 //! cluster coordinator route by hostname, encode their shard in the
-//! cookie, merge telemetry under `shard=<i>` labels, serve the same
-//! HTTP lifecycle as the single-node frontend — and survive the loss
-//! of a whole pod (hosts, uplinks and the colocated store replica) at
+//! cookie, merge telemetry under `shard=<i>` labels — and survive the
+//! loss of a whole pod (hosts, uplinks and the colocated store replica) at
 //! k=32 within the heartbeat budget.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use netalytics::cluster::{Cluster, ClusterConfig};
 use netalytics::{
-    ClusterFrontend, EventKind, FrontendConfig, ResultBackend, SeriesKey, ShardedConfig,
-    ShardedStore, StandingConfig,
+    EventKind, ResultBackend, SeriesKey, ShardedConfig, ShardedStore, StandingConfig,
 };
 use netalytics_apps::{sample_sink, ClientApp, Conversation, StaticHttpBehavior, TierApp};
 use netalytics_data::DataTuple;
@@ -143,101 +139,6 @@ fn telemetry_report_labels_shard_series_and_merges_store_metrics() {
         "results were committed"
     );
     assert!(store.sharded_stats().appends > 0);
-}
-
-/// Minimal blocking HTTP/1.1 request against the cluster frontend.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    s.write_all(req.as_bytes()).expect("request");
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).expect("response");
-    let (head, raw) = resp.split_once("\r\n\r\n").expect("header/body split");
-    let status = head.lines().next().unwrap_or("").to_string();
-    let body = if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        dechunk(raw)
-    } else {
-        raw.to_string()
-    };
-    (status, body)
-}
-
-/// Decodes a chunked body: size lines are hex, data follows verbatim.
-fn dechunk(raw: &str) -> String {
-    let mut out = String::new();
-    let mut rest = raw;
-    while let Some((size_line, tail)) = rest.split_once("\r\n") {
-        let Ok(size) = usize::from_str_radix(size_line.trim(), 16) else {
-            break;
-        };
-        if size == 0 || tail.len() < size {
-            break;
-        }
-        out.push_str(&tail[..size]);
-        rest = tail[size..].strip_prefix("\r\n").unwrap_or("");
-    }
-    out
-}
-
-fn extract_cookie(descriptor: &str) -> u64 {
-    let idx = descriptor
-        .find("\"cookie\":")
-        .expect("descriptor has a cookie")
-        + 9;
-    descriptor[idx..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("cookie digits")
-}
-
-#[test]
-fn cluster_frontend_serves_the_single_node_api_plus_cluster_views() {
-    let store = Arc::new(ShardedStore::in_memory(ShardedConfig::default()));
-    let cluster = Cluster::new(ClusterConfig {
-        store: Some(store),
-        ..ClusterConfig::default()
-    });
-    deploy_pair(&cluster, "webb", 65, 20_000);
-    let frontend =
-        ClusterFrontend::spawn("127.0.0.1:0", cluster, FrontendConfig::default()).expect("spawn");
-    let addr = frontend.local_addr();
-
-    // The PR 8 lifecycle, unchanged: POST the query text, watch the
-    // directory, pull results, DELETE.
-    let (status, descriptor) = request(addr, "POST", "/queries", &rank_query("webb"));
-    assert!(status.contains("201"), "submit: {status}");
-    let cookie = extract_cookie(&descriptor);
-    assert_eq!(
-        Cluster::shard_of_cookie(cookie),
-        1,
-        "webb routed to shard 1"
-    );
-
-    let (status, body) = request(addr, "GET", &format!("/queries/{cookie}"), "");
-    assert!(status.contains("200"), "describe: {status}");
-    assert!(body.contains("\"state\":\"running\""));
-
-    // Cluster-only views ride alongside: per-shard summaries and the
-    // merged shard-labelled metrics.
-    let (status, shards) = request(addr, "GET", "/cluster/shards", "");
-    assert!(status.contains("200"), "shards: {status}");
-    assert!(shards.contains("\"index\":0") && shards.contains("\"index\":1"));
-    let (status, metrics) = request(addr, "GET", "/cluster/metrics", "");
-    assert!(status.contains("200"), "metrics: {status}");
-    assert!(metrics.contains("shard=\"1\""), "shard labels rendered");
-
-    let (status, summary) = request(addr, "DELETE", &format!("/queries/{cookie}"), "");
-    assert!(status.contains("200"), "kill: {status}");
-    assert!(summary.contains("\"cookie\""));
 }
 
 /// The headline chaos scenario at full scale: a k=32 fabric (8192
