@@ -865,13 +865,16 @@ fn aggregate_payload(cookie: u64, q: &HistoryQuery, ans: &HistoryAnswer) -> Stri
     }
     s.push_str(&format!(
         ",\"exact\":{},\"plan\":{{\"pushdown\":{},\"segment_cells\":{},\"persisted_cells\":{},\
-         \"coarse_cells\":{},\"raw_tuples\":{},\"segments_scanned\":{}}}}}",
+         \"coarse_cells\":{},\"raw_tuples\":{},\"frames_read\":{},\"tuples_decoded\":{},\
+         \"segments_scanned\":{}}}}}",
         ans.plan.exact,
         ans.plan.pushdown,
         ans.plan.segment_cells,
         ans.plan.persisted_cells,
         ans.plan.coarse_cells,
         ans.plan.raw_tuples,
+        ans.plan.frames_read,
+        ans.plan.tuples_decoded,
         ans.plan.segments_scanned
     ));
     s

@@ -18,9 +18,12 @@ pub const FRAME_HEADER: usize = 8;
 /// as corruption rather than an allocation request.
 pub const MAX_FRAME: usize = 1 << 28;
 
-/// CRC-32 (IEEE 802.3) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3) slice-by-8 tables, built at compile time.
+/// `CRC_TABLES[0]` is the classic one-byte table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table reads
+/// fold eight input bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -33,17 +36,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `data`.
+/// CRC-32 (IEEE) of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -53,6 +80,23 @@ pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// The payload of the frame starting at byte `at` of `bytes`, or `None`
+/// when its header is cut short, its length runs past the buffer (or
+/// [`MAX_FRAME`]), or its checksum does not hold.
+pub(crate) fn frame_at(bytes: &[u8], at: usize) -> Option<&[u8]> {
+    let rest = bytes.get(at..)?;
+    if rest.len() < FRAME_HEADER {
+        return None;
+    }
+    let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+    if len > MAX_FRAME || rest.len() < FRAME_HEADER + len {
+        return None;
+    }
+    let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
+    (crc32(payload) == crc).then_some(payload)
 }
 
 /// Iterator over the clean prefix of a frame log.
@@ -82,21 +126,9 @@ impl<'a> Iterator for FrameIter<'a> {
     type Item = (usize, &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let rest = &self.bytes[self.pos..];
-        if rest.len() < FRAME_HEADER {
-            return None;
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len > MAX_FRAME || rest.len() < FRAME_HEADER + len {
-            return None;
-        }
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32(payload) != crc {
-            return None;
-        }
+        let payload = frame_at(self.bytes, self.pos)?;
         let at = self.pos;
-        self.pos += FRAME_HEADER + len;
+        self.pos += FRAME_HEADER + payload.len();
         Some((at, payload))
     }
 }
@@ -105,11 +137,63 @@ impl<'a> Iterator for FrameIter<'a> {
 mod tests {
     use super::*;
 
+    /// The one-table, byte-at-a-time loop `crc32` replaced — kept as
+    /// the reference the slice-by-8 kernel must match bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// xorshift64*, seeded: the store crate has no `rand` dependency.
+    fn next_rand(state: &mut u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn random_bytes(state: &mut u64, n: usize) -> Vec<u8> {
+        (0..n).map(|_| (next_rand(state) >> 32) as u8).collect()
+    }
+
     #[test]
     fn crc_matches_known_vector() {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc_slice_by_8_equals_bytewise_at_every_length_and_alignment() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buf = random_bytes(&mut state, 64 + 8);
+        for align in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[align..align + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "align {align} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc_slice_by_8_equals_bytewise_on_random_slices() {
+        let mut state = 0x0123_4567_89AB_CDEFu64;
+        let buf = random_bytes(&mut state, 64 << 10);
+        for _ in 0..1_000 {
+            let a = next_rand(&mut state) as usize % (buf.len() + 1);
+            let b = next_rand(&mut state) as usize % (buf.len() + 1);
+            let s = &buf[a.min(b)..a.max(b)];
+            assert_eq!(
+                crc32(s),
+                crc32_bytewise(s),
+                "slice {}..{}",
+                a.min(b),
+                a.max(b)
+            );
+        }
     }
 
     #[test]

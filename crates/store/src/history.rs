@@ -25,7 +25,7 @@ use netalytics_data::{DataTuple, Value};
 use netalytics_sketch::{value_key_bytes, Hll, Sketch, SpaceSaving, DEFAULT_PRECISION};
 
 use crate::rollup::RollupPoint;
-use crate::scan::{fold_value, SeriesScan};
+use crate::scan::{fold_value, ScanCount};
 use crate::store::{SeriesKey, StoreError, TimeSeriesStore};
 
 /// Aggregate functions the history plane evaluates.
@@ -265,8 +265,13 @@ pub struct HistoryPlan {
     pub coarse_cells: u64,
     /// Cached sealed-segment cells merged.
     pub segment_cells: u64,
-    /// Tuples decoded on the raw path (edges, active segment, replay).
+    /// In-range tuples the raw path (edges, active segment, replay)
+    /// handed to the aggregate — a count of the answer, not of the read.
     pub raw_tuples: u64,
+    /// Log frames the raw path verified and decoded to find them.
+    pub frames_read: u64,
+    /// Tuples in those frames, in range or not: what the read paid for.
+    pub tuples_decoded: u64,
     /// Segments that contributed any raw-decoded tuples.
     pub segments_scanned: u64,
     /// False when a merged cell extends past the requested range, so
@@ -348,7 +353,9 @@ impl TimeSeriesStore {
     ///
     /// # Errors
     ///
-    /// Decode errors on frames that passed their CRC (version skew).
+    /// [`StoreError::Corrupt`] when a resident frame the plan needs no
+    /// longer passes its length or CRC check; decode errors on frames
+    /// that did (version skew).
     pub fn history(&self, q: &HistoryQuery) -> Result<HistoryAnswer, StoreError> {
         if q.t0 > q.t1 {
             return Ok(HistoryAnswer {
@@ -398,11 +405,13 @@ impl TimeSeriesStore {
     ///
     /// # Errors
     ///
-    /// Decode errors on frames that passed their CRC (version skew).
+    /// As [`TimeSeriesStore::history`].
     pub fn history_replay(&self, q: &HistoryQuery) -> Result<HistoryAnswer, StoreError> {
-        let tuples = self.inner.lock().range(&q.series, q.t0, q.t1)?;
+        let (tuples, read) = self.inner.lock().range(&q.series, q.t0, q.t1)?;
         let mut acc = RollupPoint::empty(q.t0, q.t1.saturating_sub(q.t0).saturating_add(1));
         let mut plan = HistoryPlan {
+            frames_read: read.frames_read,
+            tuples_decoded: read.tuples_decoded,
             exact: true,
             pushdown: false,
             ..HistoryPlan::default()
@@ -478,6 +487,8 @@ impl TimeSeriesStore {
 
         // Segments: cached cells for the core, raw scan for the edges
         // and for the (always uncached) active segment.
+        let series_id = inner.series_id(&q.series);
+        let mut read = ScanCount::default();
         let nsegs = inner.segments.len();
         for i in 0..nsegs {
             if !inner.segments[i].overlaps(q.t0, q.t1) {
@@ -488,42 +499,42 @@ impl TimeSeriesStore {
                 inner.ensure_sealed_cells(i)?;
             }
             let seg = &inner.segments[i];
-            let mut scanned = 0u64;
-            if let (true, Some((cells, _))) = (sealed, seg.cells.as_ref()) {
-                if let Some(by_bucket) = cells.get(&key) {
-                    for (&b, cell) in by_bucket {
-                        if in_core(b) {
-                            acc.merge(cell);
-                            plan.segment_cells += 1;
-                        }
+            // A sealed segment answers the core from its cached cells
+            // and is read only at the edges; the active one is read
+            // across the whole range.
+            let cached = seg.cells.as_ref().filter(|_| sealed);
+            if let Some(by_bucket) = cached.and_then(|(cells, _)| cells.get(&key)) {
+                for (&b, cell) in by_bucket {
+                    if in_core(b) {
+                        acc.merge(cell);
+                        plan.segment_cells += 1;
                     }
                 }
-                for &(w0, w1) in &windows {
-                    if !seg.overlaps(w0, w1) {
-                        continue;
-                    }
-                    for t in SeriesScan::new(&seg.bytes[seg.seek(w0)..], &q.series, w0, w1) {
-                        let t = t?;
+            }
+            let whole = [(q.t0, q.t1)];
+            let raw: &[(u64, u64)] = if cached.is_some() { &windows } else { &whole };
+            let mut scanned = 0u64;
+            for &window in raw {
+                inner.scan(
+                    seg,
+                    |s| Some(s) == series_id,
+                    window,
+                    &mut read,
+                    |t| {
                         scanned += 1;
                         if let Some(v) = t.get(&q.field) {
                             fold_value(&mut acc, v);
                         }
-                    }
-                }
-            } else {
-                for t in SeriesScan::new(&seg.bytes[seg.seek(q.t0)..], &q.series, q.t0, q.t1) {
-                    let t = t?;
-                    scanned += 1;
-                    if let Some(v) = t.get(&q.field) {
-                        fold_value(&mut acc, v);
-                    }
-                }
+                    },
+                )?;
             }
             if scanned > 0 {
                 plan.raw_tuples += scanned;
                 plan.segments_scanned += 1;
             }
         }
+        plan.frames_read = read.frames_read;
+        plan.tuples_decoded = read.tuples_decoded;
 
         // Persisted tiers: raw data behind these cells is gone, so a
         // cell straddling the range boundary is merged inexactly rather
@@ -635,6 +646,62 @@ mod tests {
             a.plan.raw_tuples < 300,
             "most tuples must come from cells: {:?}",
             a.plan
+        );
+    }
+
+    /// `frames_read` counts the asked series' frames that overlap the
+    /// raw windows — however many other series share the segments.
+    #[test]
+    fn unaligned_query_reads_only_its_series_edge_frames() {
+        // One frame per series per append round: 4 tuples, 250 ms apart,
+        // so every frame spans exactly one native bucket.
+        let plan_for = |nseries: u64| {
+            let store = TimeSeriesStore::in_memory_with(StoreConfig {
+                segment_max_bytes: 1_200,
+                rollup_bucket_ns: SECOND,
+                ..StoreConfig::default()
+            });
+            for s in 0..40u64 {
+                for g in 0..nseries {
+                    let tuples = (0..4)
+                        .map(|i| DataTuple::new(i, s * SECOND + i * 250_000_000).with("lat", s + i))
+                        .collect();
+                    store
+                        .append(
+                            &SeriesKey::new(9, format!("g{g}")),
+                            &TupleBatch::from_tuples(tuples),
+                        )
+                        .unwrap();
+                }
+            }
+            assert!(store.stats().segments > 4, "load must span segments");
+            // Both edges cut a bucket in half; the range ends long before
+            // the active segment starts.
+            let q = HistoryQuery::new(
+                SeriesKey::new(9, "g0"),
+                "lat",
+                2 * SECOND + 500_000_000,
+                11 * SECOND + 499_999_999,
+                HistoryAgg::Sum,
+            );
+            let a = store.history(&q).unwrap();
+            assert_eq!(a.value, store.history_replay(&q).unwrap().value);
+            assert!(a.plan.segment_cells > 0, "{:?}", a.plan);
+            a.plan
+        };
+        let alone = plan_for(1);
+        // The left window [2.5 s, 3 s) and the right one [11 s, 11.5 s)
+        // each overlap one frame of g0: two of its four tuples in range.
+        assert_eq!(
+            (alone.frames_read, alone.tuples_decoded, alone.raw_tuples),
+            (2, 8, 4),
+            "{alone:?}"
+        );
+        let shared = plan_for(4);
+        assert_eq!(
+            (shared.frames_read, shared.tuples_decoded, shared.raw_tuples),
+            (2, 8, 4),
+            "{shared:?}"
         );
     }
 

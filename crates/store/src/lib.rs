@@ -370,5 +370,10 @@ mod tests {
         assert_eq!(snap.counter_total("store.sink_flushes"), 1);
         assert!(snap.counter_total("store.ingest_bytes") > 0);
         assert!(snap.names().contains(&"store.segments"));
+        // The memtable serves the range; only `query_history` reads the log.
+        assert_eq!(store.range(&s, 0, u64::MAX).unwrap().len(), 5);
+        assert_eq!(registry.snapshot().counter_total("store.frames_read"), 0);
+        assert_eq!(store.query_history(1).unwrap().len(), 5);
+        assert_eq!(registry.snapshot().counter_total("store.frames_read"), 1);
     }
 }

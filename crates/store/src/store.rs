@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 
 use crate::frame::{write_frame, FrameIter, FRAME_HEADER};
 use crate::rollup::{decode_rollup, encode_rollup, RollupPoint};
-use crate::scan::{fold_segment, SegmentCells, SeriesScan};
+use crate::scan::{fold_segment, scan_frames, ScanCount, SegmentCells};
 use crate::wire::{put_str16, put_u64, Reader};
 
 /// Identity of one stored series: the query that produced the tuples
@@ -85,8 +85,6 @@ pub struct StoreConfig {
     /// Sketch-tier bucket width; rounded up to a multiple of
     /// `rollup_bucket_ns` when it is not one already.
     pub sketch_bucket_ns: u64,
-    /// Sparse-index stride: one seek entry per this many frames.
-    pub index_every: u64,
     /// Tuples kept per series in the in-memory tail memtable.
     pub memtable_per_series: usize,
 }
@@ -99,7 +97,6 @@ impl Default for StoreConfig {
             rollup_bucket_ns: 1_000_000_000,
             rollup_retention_ns: None,
             sketch_bucket_ns: 60_000_000_000,
-            index_every: 16,
             memtable_per_series: 256,
         }
     }
@@ -230,10 +227,29 @@ struct StoreMetrics {
     append_errors: Arc<Counter>,
     compactions: Arc<Counter>,
     segments_dropped: Arc<Counter>,
+    frames_read: Arc<Counter>,
     segments: Arc<Gauge>,
     series: Arc<Gauge>,
     rollup_points: Arc<Gauge>,
 }
+
+/// One entry of a segment's frame directory: which series a resident
+/// frame belongs to, the timestamps it spans and where it starts, so a
+/// read visits only the frames it needs. 24 bytes.
+pub(crate) struct FrameEntry {
+    pub(crate) min_ts: u64,
+    pub(crate) max_ts: u64,
+    /// Byte offset of the frame header in the segment.
+    pub(crate) offset: u32,
+    /// Store-level series id (see [`MemSeries::id`]).
+    pub(crate) series: u32,
+}
+
+// DESIGN.md states the directory's memory cost per frame.
+const _: () = assert!(std::mem::size_of::<FrameEntry>() == 24);
+
+/// A segment never grows past this, so directory offsets fit `u32`.
+const SEGMENT_BYTES_CAP: usize = u32::MAX as usize;
 
 /// One log segment, held both on disk (durability) and in memory
 /// (serving reads). `file` is `None` for in-memory stores.
@@ -241,13 +257,11 @@ pub(crate) struct Segment {
     seq: u64,
     pub(crate) bytes: Vec<u8>,
     file: Option<File>,
-    frames: u64,
+    /// The frame directory: one entry per frame of `bytes`, in log
+    /// order, recorded as frames enter memory (append, recovery).
+    pub(crate) frames: Vec<FrameEntry>,
     pub(crate) min_ts: u64,
     pub(crate) max_ts: u64,
-    /// `(watermark, offset)`: every tuple in frames before `offset` has
-    /// `ts <= watermark`, so a range scan for `t0 > watermark` may
-    /// start at `offset`.
-    index: Vec<(u64, usize)>,
     /// Cached native-bucket fold of this segment's tuples, built
     /// lazily once the segment is sealed (see
     /// [`Inner::ensure_sealed_cells`]). `None` while active, after
@@ -256,43 +270,32 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    fn empty(seq: u64, file: Option<File>) -> Self {
+    pub(crate) fn empty(seq: u64, file: Option<File>) -> Self {
         Segment {
             seq,
             bytes: Vec::new(),
             file,
-            frames: 0,
+            frames: Vec::new(),
             min_ts: u64::MAX,
             max_ts: 0,
-            index: Vec::new(),
             cells: None,
         }
     }
 
-    fn note_frame(&mut self, offset: usize, min_ts: u64, max_ts: u64, index_every: u64) {
-        if self.frames.is_multiple_of(index_every) {
-            self.index.push((self.max_ts, offset));
-        }
-        self.frames += 1;
+    /// Lists the frame at `offset` in the directory.
+    pub(crate) fn note_frame(&mut self, series: u32, offset: u32, min_ts: u64, max_ts: u64) {
+        self.frames.push(FrameEntry {
+            min_ts,
+            max_ts,
+            offset,
+            series,
+        });
         self.min_ts = self.min_ts.min(min_ts);
         self.max_ts = self.max_ts.max(max_ts);
     }
 
-    /// Byte offset a scan for tuples with `ts >= t0` may start at.
-    pub(crate) fn seek(&self, t0: u64) -> usize {
-        let mut at = 0;
-        for &(watermark, offset) in &self.index {
-            if watermark < t0 {
-                at = offset;
-            } else {
-                break;
-            }
-        }
-        at
-    }
-
     pub(crate) fn overlaps(&self, t0: u64, t1: u64) -> bool {
-        self.frames > 0 && self.min_ts <= t1 && self.max_ts >= t0
+        !self.frames.is_empty() && self.min_ts <= t1 && self.max_ts >= t0
     }
 
     fn path(dir: &Path, seq: u64) -> PathBuf {
@@ -347,6 +350,10 @@ pub(crate) fn decode_batch(bytes: &[u8]) -> Result<TupleBatch, StoreError> {
 
 /// Bounded tail of one series, serving `latest` and recent ranges.
 struct MemSeries {
+    /// Store-level series id, dense in order of first appearance: what
+    /// a [`FrameEntry`] names its series by. Never reused — a series
+    /// stays in `Inner::mem` once seen.
+    id: u32,
     tail: VecDeque<DataTuple>,
     /// Tuples ever appended; when this equals `tail.len()` the tail is
     /// the complete series.
@@ -354,8 +361,9 @@ struct MemSeries {
 }
 
 impl MemSeries {
-    fn new() -> Self {
+    fn new(id: usize) -> Self {
         MemSeries {
+            id: u32::try_from(id).expect("fewer than 2^32 series"),
             tail: VecDeque::new(),
             appended: 0,
         }
@@ -447,7 +455,7 @@ impl Inner {
                 format!(
                     "segment {} sealed: {} frames, {} bytes",
                     sealed.seq,
-                    sealed.frames,
+                    sealed.frames.len(),
                     sealed.bytes.len()
                 ),
             );
@@ -473,40 +481,60 @@ impl Inner {
         self.coarse.values().map(BTreeMap::len).sum()
     }
 
-    /// All tuples of `series` in `[t0, t1]`, oldest first.
+    /// The directory id of `series`; `None` when the store has never
+    /// held a frame of it.
+    pub(crate) fn series_id(&self, series: &SeriesKey) -> Option<u32> {
+        self.mem.get(series).map(|ms| ms.id)
+    }
+
+    /// [`scan_frames`] over one segment, counted into `count` and into
+    /// the `store.frames_read` metric.
+    pub(crate) fn scan(
+        &self,
+        seg: &Segment,
+        want: impl Fn(u32) -> bool,
+        window: (u64, u64),
+        count: &mut ScanCount,
+        each: impl FnMut(DataTuple),
+    ) -> Result<(), StoreError> {
+        let before = count.frames_read;
+        let scanned = scan_frames(seg, want, window, count, each);
+        if let Some(m) = &self.metrics {
+            m.frames_read.add(count.frames_read - before);
+        }
+        scanned
+    }
+
+    /// All tuples of `series` in `[t0, t1]`, oldest first, plus what
+    /// the log scan read to find them (nothing when the memtable
+    /// served).
     pub(crate) fn range(
         &self,
         series: &SeriesKey,
         t0: u64,
         t1: u64,
-    ) -> Result<Vec<DataTuple>, StoreError> {
-        if t0 > t1 {
-            return Ok(Vec::new());
-        }
+    ) -> Result<(Vec<DataTuple>, ScanCount), StoreError> {
         let mut out = Vec::new();
-        if let Some(ms) = self.mem.get(series) {
-            if ms.covers_from(t0) {
-                out.extend(
-                    ms.tail
-                        .iter()
-                        .filter(|t| t.ts_ns >= t0 && t.ts_ns <= t1)
-                        .cloned(),
-                );
-                out.sort_by_key(|t| t.ts_ns);
-                return Ok(out);
-            }
-        }
-        for seg in &self.segments {
-            if !seg.overlaps(t0, t1) {
-                continue;
-            }
-            let start = seg.seek(t0);
-            for t in SeriesScan::new(&seg.bytes[start..], series, t0, t1) {
-                out.push(t?);
+        let mut count = ScanCount::default();
+        // A series the store never saw has no memtable and no frames.
+        let ms = match self.mem.get(series) {
+            Some(ms) if t0 <= t1 => ms,
+            _ => return Ok((out, count)),
+        };
+        if ms.covers_from(t0) {
+            out.extend(
+                ms.tail
+                    .iter()
+                    .filter(|t| t.ts_ns >= t0 && t.ts_ns <= t1)
+                    .cloned(),
+            );
+        } else {
+            for seg in self.segments.iter().filter(|s| s.overlaps(t0, t1)) {
+                self.scan(seg, |s| s == ms.id, (t0, t1), &mut count, |t| out.push(t))?;
             }
         }
         out.sort_by_key(|t| t.ts_ns);
-        Ok(out)
+        Ok((out, count))
     }
 }
 
@@ -579,14 +607,21 @@ impl TimeSeriesStore {
             let path = Segment::path(&dir, seq);
             let bytes = fs::read(&path)?;
             let mut seg = Segment::empty(seq, None);
+            // whole-segment walk: recovery verifies and lists every frame once.
             let mut it = FrameIter::new(&bytes);
             for (offset, payload) in it.by_ref() {
                 let rec = decode_record(payload)?;
-                seg.note_frame(offset, rec.min_ts, rec.max_ts, inner.cfg.index_every);
+                let offset = u32::try_from(offset)
+                    .map_err(|_| StoreError::Corrupt("segment larger than 4 GiB"))?;
                 let series = SeriesKey::new(rec.query_id, rec.group);
                 let batch = decode_batch(rec.batch)?;
                 inner.stats.tuples += batch.len() as u64;
-                let ms = inner.mem.entry(series).or_insert_with(MemSeries::new);
+                let next_id = inner.mem.len();
+                let ms = inner
+                    .mem
+                    .entry(series)
+                    .or_insert_with(|| MemSeries::new(next_id));
+                seg.note_frame(ms.id, offset, rec.min_ts, rec.max_ts);
                 for t in batch.into_tuples() {
                     ms.tail.push_back(t);
                     ms.appended += 1;
@@ -604,7 +639,6 @@ impl TimeSeriesStore {
                 inner.stats.truncated_on_open += 1;
             }
             seg.bytes = bytes[..valid].to_vec();
-            inner.stats.frames += seg.frames;
             inner.segments.push(seg);
         }
 
@@ -631,6 +665,7 @@ impl TimeSeriesStore {
         let rollup_path = dir.join("rollups.log");
         if rollup_path.exists() {
             let bytes = fs::read(&rollup_path)?;
+            // whole-segment walk: the rollup log replays last-wins from its start.
             let mut it = FrameIter::new(&bytes);
             for (_, payload) in it.by_ref() {
                 let (series, field, point) = decode_rollup(payload)?;
@@ -709,14 +744,13 @@ impl TimeSeriesStore {
         }
         let (payload, min_ts, max_ts) = encode_record(series, batch);
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         let frame_len = FRAME_HEADER + payload.len();
-        if inner.active().frames > 0
-            && inner.active().bytes.len() + frame_len > inner.cfg.segment_max_bytes
-        {
+        let max_bytes = inner.cfg.segment_max_bytes.min(SEGMENT_BYTES_CAP);
+        if !inner.active().frames.is_empty() && inner.active().bytes.len() + frame_len > max_bytes {
             inner.roll_segment()?;
         }
-        let index_every = inner.cfg.index_every;
-        let seg = inner.active();
+        let seg = inner.segments.last_mut().expect("at least one segment");
         let offset = seg.bytes.len();
         write_frame(&mut seg.bytes, &payload);
         if let Some(file) = &mut seg.file {
@@ -726,13 +760,15 @@ impl TimeSeriesStore {
                 return Err(e.into());
             }
         }
-        seg.note_frame(offset, min_ts, max_ts, index_every);
 
         let cap = inner.cfg.memtable_per_series;
+        let next_id = inner.mem.len();
         let ms = inner
             .mem
             .entry(series.clone())
-            .or_insert_with(MemSeries::new);
+            .or_insert_with(|| MemSeries::new(next_id));
+        let offset = u32::try_from(offset).expect("segments roll before 4 GiB");
+        seg.note_frame(ms.id, offset, min_ts, max_ts);
         for t in batch.iter() {
             ms.tail.push_back(t.clone());
             ms.appended += 1;
@@ -741,7 +777,6 @@ impl TimeSeriesStore {
             }
         }
 
-        inner.stats.frames += 1;
         inner.stats.tuples += batch.len() as u64;
         if let Some(m) = &inner.metrics {
             m.ingest_tuples.add(batch.len() as u64);
@@ -759,18 +794,20 @@ impl TimeSeriesStore {
 
     /// All retained tuples of `series` with `t0 <= ts <= t1`, oldest
     /// first. Served from the memtable when it covers the range, else
-    /// from the log via each overlapping segment's sparse index.
+    /// from the log via each overlapping segment's frame directory.
     ///
     /// # Errors
     ///
-    /// Decode errors on a frame that passed its CRC (version skew).
+    /// [`StoreError::Corrupt`] when a resident frame the read needs no
+    /// longer passes its length or CRC check; decode errors on a frame
+    /// that did (version skew).
     pub fn range(
         &self,
         series: &SeriesKey,
         t0: u64,
         t1: u64,
     ) -> Result<Vec<DataTuple>, StoreError> {
-        self.inner.lock().range(series, t0, t1)
+        Ok(self.inner.lock().range(series, t0, t1)?.0)
     }
 
     /// Downsampled view of one numeric field over `[t0, t1]` in buckets
@@ -819,7 +856,7 @@ impl TimeSeriesStore {
                 }
             }
         }
-        for tuple in inner.range(series, t0, t1)? {
+        for tuple in inner.range(series, t0, t1)?.0 {
             let bucket = tuple.ts_ns - tuple.ts_ns % bucket_ns;
             match tuple.get(field) {
                 Some(Value::Bytes(b)) => fold(bucket, &|p| {
@@ -842,17 +879,31 @@ impl TimeSeriesStore {
     ///
     /// # Errors
     ///
-    /// Decode errors on a frame that passed its CRC (version skew).
+    /// [`StoreError::Corrupt`] when a resident frame of the query no
+    /// longer passes its length or CRC check; decode errors on a frame
+    /// that did (version skew).
     pub fn query_history(&self, query_id: u64) -> Result<Vec<DataTuple>, StoreError> {
         let inner = self.inner.lock();
+        // The query's series, as a set of directory ids.
+        let mut wanted = vec![false; inner.mem.len()];
+        let first = SeriesKey::new(query_id, "");
+        for (_, ms) in inner
+            .mem
+            .range(first..)
+            .take_while(|(k, _)| k.query_id == query_id)
+        {
+            wanted[ms.id as usize] = true;
+        }
         let mut out = Vec::new();
+        let mut count = ScanCount::default();
         for seg in &inner.segments {
-            for (_, payload) in FrameIter::new(&seg.bytes) {
-                let rec = decode_record(payload)?;
-                if rec.query_id == query_id {
-                    out.extend(decode_batch(rec.batch)?.into_tuples());
-                }
-            }
+            inner.scan(
+                seg,
+                |s| wanted[s as usize],
+                (0, u64::MAX),
+                &mut count,
+                |t| out.push(t),
+            )?;
         }
         out.sort_by_key(|t| t.ts_ns);
         Ok(out)
@@ -898,7 +949,7 @@ impl TimeSeriesStore {
                 inner.segments[..inner.segments.len() - 1]
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.frames > 0 && s.max_ts < cutoff)
+                    .filter(|(_, s)| !s.frames.is_empty() && s.max_ts < cutoff)
                     .map(|(i, _)| i)
                     .collect()
             }
@@ -953,7 +1004,6 @@ impl TimeSeriesStore {
             // valid.
             for &i in expired.iter().rev() {
                 let seg = inner.segments.remove(i);
-                inner.stats.frames = inner.stats.frames.saturating_sub(seg.frames);
                 if let Some(dir) = &inner.dir {
                     fs::remove_file(Segment::path(dir, seg.seq))?;
                 }
@@ -1054,6 +1104,7 @@ impl TimeSeriesStore {
         inner.metrics = Some(StoreMetrics {
             ingest_tuples: registry.counter("store.ingest_tuples", &[]),
             ingest_batches: registry.counter("store.ingest_batches", &[]),
+            frames_read: registry.counter("store.frames_read", &[]),
             ingest_bytes: registry.counter("store.ingest_bytes", &[]),
             sink_flushes: registry.counter("store.sink_flushes", &[]),
             sink_skipped: registry.counter("store.sink_skipped", &[]),
@@ -1106,6 +1157,7 @@ impl TimeSeriesStore {
         let inner = self.inner.lock();
         StoreStats {
             segments: inner.segments.len(),
+            frames: inner.segments.iter().map(|s| s.frames.len() as u64).sum(),
             log_bytes: inner.segments.iter().map(|s| s.bytes.len() as u64).sum(),
             series: inner.mem.len(),
             rollup_points: inner.rollup_points(),

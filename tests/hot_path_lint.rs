@@ -17,6 +17,10 @@
 //! A third keeps the control plane single: one mailbox loop drives
 //! every frontend, `Orchestrator::registry` is the only map of running
 //! queries, and the second frontend type stays deleted.
+//!
+//! A fourth keeps store reads off the segment walk: they go through the
+//! frame directory, so `FrameIter::new(` may appear in the store's
+//! non-test code only where a whole segment is the job, and says why.
 
 use std::fs;
 use std::path::Path;
@@ -185,5 +189,56 @@ fn control_plane_has_one_driver_loop_and_no_shadow_registry() {
         revived.is_empty(),
         "{deleted} is back — serve a cluster through `QueryFrontend::spawn_cluster`:\n{}",
         revived.join("\n")
+    );
+}
+
+/// `(file, call sites)`: the only whole-segment walks the store makes —
+/// `open_with`'s two recovery loops (segments, rollup log) and
+/// `fold_segment`, which summarises every frame by definition.
+const SEGMENT_WALKS: &[(&str, usize)] = &[("scan.rs", 1), ("store.rs", 2)];
+
+#[test]
+fn store_reads_never_walk_a_whole_segment() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/store/src");
+    let mut files = Vec::new();
+    rust_files(&root, &mut files);
+    assert!(
+        files.len() >= 8,
+        "expected the store's sources, found {} — did the crate move?",
+        files.len()
+    );
+    let mut violations = Vec::new();
+    for path in &files {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let allowed = SEGMENT_WALKS
+            .iter()
+            .find(|(f, _)| *f == name)
+            .map_or(0, |&(_, n)| n);
+        let src = fs::read_to_string(path).expect("readable source");
+        let lines: Vec<&str> = non_test_code(&src).lines().collect();
+        let mut walks = 0usize;
+        for (i, line) in lines.iter().enumerate() {
+            if is_comment(line) || !line.contains("FrameIter::new(") {
+                continue;
+            }
+            walks += 1;
+            let prev = if i > 0 { lines[i - 1] } else { "" };
+            if !line.contains("whole-segment walk:") && !prev.contains("whole-segment walk:") {
+                violations.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+        if walks != allowed {
+            violations.push(format!(
+                "{}: {walks} segment walk(s), {allowed} allowed",
+                path.display()
+            ));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "a store read path walks whole segments — read through the frame \
+         directory (`scan_frames`), or annotate `// whole-segment walk: <why>` \
+         and list the site in SEGMENT_WALKS:\n{}",
+        violations.join("\n")
     );
 }
