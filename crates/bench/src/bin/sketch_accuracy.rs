@@ -13,7 +13,7 @@
 //!    is a ≥10× cut on this workload.)
 //!
 //! Run with: `cargo run --release -p netalytics-bench --bin sketch_accuracy`
-//! (add `--quick` for the CI-sized run). Writes
+//! (add `--quick` for the CI-sized run). The recorded table is
 //! `results/sketch_accuracy.txt`.
 
 use std::collections::HashMap;
@@ -218,8 +218,6 @@ fn main() {
     };
 
     print!("{report}");
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/sketch_accuracy.txt", &report).expect("write results");
 
     assert!(
         cut >= 10.0,

@@ -1,9 +1,11 @@
-//! Shared workload builders for the NetAlytics benchmark harness.
+//! Shared workload builders for the paper's experiment index.
 //!
-//! Each bench/binary in this crate regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md §3 for the full index). The helpers
-//! here build the synthetic packet streams that stand in for the paper's
-//! PktGen-DPDK traffic generator.
+//! Each binary in this crate regenerates one table or figure of the
+//! evaluation (see DESIGN.md §3 and EXPERIMENTS.md): it prints its table,
+//! writes nothing, and gates only on counts, recall or virtual time —
+//! wall-clock verdicts belong to `e2ebench/` + `BENCHMARK.json`. The
+//! helpers here build the synthetic packet streams that stand in for the
+//! paper's PktGen-DPDK traffic generator.
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};

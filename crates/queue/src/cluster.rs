@@ -603,34 +603,6 @@ impl QueueCluster {
         Ok(offset)
     }
 
-    /// Drains up to `max_frames` messages, decoding each payload into a
-    /// [`ColumnBatch`]; payloads that are not column frames are dropped.
-    /// Returns total rows appended.
-    pub fn consume_columns(
-        &self,
-        group: GroupId,
-        topic: TopicId,
-        max_frames: usize,
-        out: &mut Vec<ColumnBatch>,
-    ) -> usize {
-        let mut msgs = Vec::with_capacity(max_frames);
-        self.consume_inner(group, topic, max_frames, &mut msgs);
-        let mut rows = 0;
-        for m in msgs {
-            let mut payload = m.payload;
-            if let Ok(cols) = ColumnBatch::decode(&mut payload) {
-                rows += cols.rows();
-                out.push(cols);
-            }
-        }
-        if rows > 0 {
-            if let Some(tel) = self.telemetry_of(topic) {
-                tel.consume_batch.record(rows as u64);
-            }
-        }
-        rows
-    }
-
     /// Drains up to `max` messages into `out`, amortizing offset
     /// bookkeeping over the whole batch. Returns the number appended.
     ///
@@ -643,22 +615,6 @@ impl QueueCluster {
     /// `__consumer_offsets` of real Kafka), so consumption resumes exactly
     /// where it stopped once a replica returns.
     pub fn consume_batch(
-        &self,
-        group: GroupId,
-        topic: TopicId,
-        max: usize,
-        out: &mut Vec<Message>,
-    ) -> usize {
-        let appended = self.consume_inner(group, topic, max, out);
-        if appended > 0 {
-            if let Some(tel) = self.telemetry_of(topic) {
-                tel.consume_batch.record(appended as u64);
-            }
-        }
-        appended
-    }
-
-    fn consume_inner(
         &self,
         group: GroupId,
         topic: TopicId,
@@ -685,6 +641,12 @@ impl QueueCluster {
             cur.offsets[p] = next;
             appended += msgs.len();
             out.extend(msgs);
+        }
+        drop(cursors);
+        if appended > 0 {
+            if let Some(tel) = self.telemetry_of(topic) {
+                tel.consume_batch.record(appended as u64);
+            }
         }
         appended
     }
@@ -923,13 +885,15 @@ mod tests {
             .collect();
         let cols = ColumnBatch::from_batch(&batch);
         q.produce_columns(t, 7, &cols, 1).unwrap();
-        // Column frames are the only framing: a row frame is dropped.
+        // Column frames are the only framing: a row frame does not decode.
         q.produce_to(t, 8, batch.encode(), 2);
-        let mut out = Vec::new();
-        assert_eq!(q.consume_columns(g, t, 10, &mut out), 40);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].to_batch(), batch);
-        assert_eq!(q.consume_columns(g, t, 10, &mut out), 0, "offsets advance");
+        let mut msgs = Vec::new();
+        assert_eq!(q.consume_batch(g, t, 10, &mut msgs), 2);
+        msgs.sort_by_key(|m| m.ts_ns);
+        let back = ColumnBatch::decode(&mut msgs[0].payload).unwrap();
+        assert_eq!(back.to_batch(), batch);
+        assert!(ColumnBatch::decode(&mut msgs[1].payload).is_err());
+        assert_eq!(q.consume_batch(g, t, 10, &mut msgs), 0, "offsets advance");
     }
 
     #[test]

@@ -191,6 +191,16 @@ mod tests {
         ids.map(|i| DataTuple::new(i, i * 10)).collect()
     }
 
+    /// Everything buffered on `topic`, each payload decoded as the column
+    /// frame a spout would read.
+    fn read_back(cluster: &QueueCluster, topic: TopicId) -> Vec<ColumnBatch> {
+        let mut msgs = Vec::new();
+        cluster.consume_batch(cluster.group_id("g"), topic, 10, &mut msgs);
+        msgs.iter_mut()
+            .map(|m| ColumnBatch::decode(&mut m.payload).expect("column frame"))
+            .collect()
+    }
+
     #[test]
     fn ship_appends_column_frames() {
         let cluster = Arc::new(QueueCluster::new(QueueConfig::default()));
@@ -201,9 +211,8 @@ mod tests {
         assert_eq!(w.batches_shipped(), 2, "empty batches are dropped");
         assert_eq!(w.tuples_shipped(), 5);
         assert_eq!(cluster.depth_of(w.topic()), 2);
-        let (g, t) = (cluster.group_id("g"), w.topic());
-        let mut out = Vec::new();
-        assert_eq!(cluster.consume_columns(g, t, 10, &mut out), 5);
+        let frames = read_back(&cluster, w.topic());
+        assert_eq!(frames.iter().map(ColumnBatch::rows).sum::<usize>(), 5);
     }
 
     #[test]
@@ -243,9 +252,8 @@ mod tests {
             .unwrap();
         assert_eq!(w.batches_shipped(), 1, "empty columnar batches dropped");
         assert_eq!(w.tuples_shipped(), 5);
-        let (g, t) = (cluster.group_id("g"), w.topic());
-        let mut out = Vec::new();
-        assert_eq!(cluster.consume_columns(g, t, 10, &mut out), 5);
+        let out = read_back(&cluster, w.topic());
+        assert_eq!(out.len(), 1);
         assert_eq!(out[0].to_batch(), rows);
     }
 

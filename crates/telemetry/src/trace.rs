@@ -23,8 +23,8 @@
 //! Sampling is the overhead control: at the default 1-in-64 the
 //! unsampled hot path pays one relaxed `fetch_add` per batch, and the
 //! sampled path a handful of atomics plus one short-lived allocation
-//! per stage, keeping tracing inside the 5 % telemetry budget (enforced
-//! by the `trace_overhead` bench).
+//! per stage, keeping tracing inside the 5 % telemetry budget (read as
+//! the end-to-end benchmark's `bench.trace_overhead_pct`).
 
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};

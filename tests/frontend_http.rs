@@ -360,6 +360,59 @@ fn frontend_lifecycle_cluster_backend() {
     lifecycle_on(Backend::Cluster);
 }
 
+/// Result lines one `/stream?max=3` subscriber reads before the server
+/// ends the stream, pausing `lag` after each line like a slow consumer.
+fn subscribe(addr: SocketAddr, cookie: u64, lag: Option<Duration>) -> usize {
+    let mut s = TcpStream::connect(addr).expect("connect subscriber");
+    write!(
+        s,
+        "GET /queries/{cookie}/stream?max=3 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .expect("stream request");
+    s.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut seen = 0;
+    for line in BufReader::new(s).lines() {
+        let line = line.expect("stream read");
+        if line.starts_with('{') && line.contains("\"fields\"") {
+            seen += 1;
+            if let Some(pause) = lag {
+                std::thread::sleep(pause);
+            }
+        }
+    }
+    seen
+}
+
+#[test]
+fn frontend_streams_to_100_concurrent_subscribers_some_slow() {
+    let builder = Orchestrator::builder(4).result_store(Arc::new(TimeSeriesStore::in_memory()));
+    let frontend = QueryFrontend::spawn("127.0.0.1:0", builder, deploy_web).expect("spawn");
+    let addr = frontend.local_addr();
+    let (status, descriptor) = request(addr, "POST", "/queries", &[], QUERY);
+    assert!(status.contains("201"), "{status}: {descriptor}");
+    let cookie = extract_cookie(&descriptor);
+
+    // Streams run on their own threads, so 100 open at once; every tenth
+    // drags its reads and must not hold the other ninety back.
+    let subscribers: Vec<_> = (0..100)
+        .map(|i| {
+            let lag = (i % 10 == 9).then(|| Duration::from_millis(25));
+            std::thread::spawn(move || subscribe(addr, cookie, lag))
+        })
+        .collect();
+    for (i, sub) in subscribers.into_iter().enumerate() {
+        let seen = sub.join().expect("subscriber thread");
+        assert!(seen >= 3, "subscriber {i} saw {seen} of 3 live lines");
+    }
+
+    let (delivered, _shed) = frontend.stream_stats(cookie).expect("hub stats");
+    assert!(delivered >= 300, "hub delivered {delivered} < 100 x 3");
+    let (status, summary) = request(addr, "DELETE", &format!("/queries/{cookie}"), &[], "");
+    assert!(status.contains("200"), "{status}: {summary}");
+    assert!(summary.contains("\"state\":\"killed\""), "{summary}");
+}
+
 /// Submitting garbage is a 400 with the stable envelope, and an unknown
 /// tenant is refused with a 403 — identity, not load.
 #[test]

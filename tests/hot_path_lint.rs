@@ -21,6 +21,11 @@
 //! A fourth keeps store reads off the segment walk: they go through the
 //! frame directory, so `FrameIter::new(` may appear in the store's
 //! non-test code only where a whole segment is the job, and says why.
+//!
+//! A fifth keeps `crates/bench` the paper's experiment index and
+//! nothing else: every binary the docs and CI name exists, every
+//! binary is documented, and none writes a file or times with an
+//! external harness — wall-clock verdicts belong to `e2ebench`.
 
 use std::fs;
 use std::path::Path;
@@ -239,6 +244,96 @@ fn store_reads_never_walk_a_whole_segment() {
         "a store read path walks whole segments — read through the frame \
          directory (`scan_frames`), or annotate `// whole-segment walk: <why>` \
          and list the site in SEGMENT_WALKS:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Files that tell a reader or a CI runner which commands to run.
+const COMMAND_DOCS: &[&str] = &[
+    ".github/workflows/ci.yml",
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// Every name that follows `flag` in `text` (`--bin <name>` placeholders
+/// yield nothing).
+fn names_after<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
+    text.split(flag)
+        .skip(1)
+        .map(|rest| {
+            let rest = rest.trim_start();
+            let end = rest
+                .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+#[test]
+fn bench_crate_is_the_experiment_index() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bench = root.join("crates/bench");
+    let mut violations = Vec::new();
+
+    // (a) No doc or CI step names a binary or example that is gone.
+    for rel in COMMAND_DOCS {
+        let text = fs::read_to_string(root.join(rel))
+            .unwrap_or_else(|e| panic!("command doc {rel} must exist: {e}"));
+        for (flag, dir) in [
+            ("--bin ", "crates/bench/src/bin"),
+            ("--example ", "examples"),
+        ] {
+            for name in names_after(&text, flag) {
+                if !root.join(dir).join(format!("{name}.rs")).exists() {
+                    violations.push(format!("{rel}: `{flag}{name}` has no {dir}/{name}.rs"));
+                }
+            }
+        }
+    }
+
+    // (b) Every experiment binary has its section in EXPERIMENTS.md.
+    let experiments = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let mut bins = Vec::new();
+    rust_files(&bench.join("src/bin"), &mut bins);
+    assert!(
+        bins.len() >= 10,
+        "expected the experiment binaries, found {} — did the crate move?",
+        bins.len()
+    );
+    for bin in &bins {
+        let name = bin.file_stem().and_then(|n| n.to_str()).unwrap_or("");
+        if !experiments.contains(name) {
+            violations.push(format!("{}: not named in EXPERIMENTS.md", bin.display()));
+        }
+    }
+
+    // (c) A binary prints its table and nothing else: a committed
+    // `results/` file is a redirect of a full run, never a side effect.
+    let mut sources = vec![bench.join("Cargo.toml")];
+    rust_files(&bench, &mut sources);
+    for path in &sources {
+        let src = fs::read_to_string(path).expect("readable source");
+        for banned in ["fs::write", "criterion"] {
+            if src.contains(banned) {
+                violations.push(format!("{}: contains `{banned}`", path.display()));
+            }
+        }
+    }
+
+    // (d) No second timing harness beside the benchmark.
+    if bench.join("benches").exists() {
+        violations.push("crates/bench/benches exists".to_string());
+    }
+
+    assert!(
+        violations.is_empty(),
+        "crates/bench is the paper's experiment index — its binaries print, \
+         the docs name only what exists, and timing that gates belongs to \
+         `e2ebench` + BENCHMARK.json:\n{}",
         violations.join("\n")
     );
 }
