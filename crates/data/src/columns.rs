@@ -387,17 +387,30 @@ impl ColumnBatch {
     /// Reconstructs the row form. Field order, duplicate names, explicit
     /// nulls and per-row sources are all restored exactly.
     pub fn to_batch(&self) -> TupleBatch {
+        // Shape per batch, values per row: each layout's names resolve
+        // here, so the row loop never touches the schema registry.
+        let names: Vec<Vec<&'static str>> = self
+            .layouts
+            .iter()
+            // per-batch: one lookup per layout position
+            .map(|l| l.fields.iter().map(|&(fid, _)| fid.name()).collect())
+            .collect();
         let mut cursors = vec![0usize; self.columns.len()];
         let mut tuples = Vec::with_capacity(self.rows);
         for r in 0..self.rows {
-            let layout = &self.layouts[self.row_layouts[r] as usize];
-            let mut fields = Vec::with_capacity(layout.fields.len());
-            for (pos, &(fid, _tag)) in layout.fields.iter().enumerate() {
-                let cidx = layout.cols[pos] as usize;
-                let k = cursors[cidx];
-                cursors[cidx] += 1;
-                fields.push((fid.name().to_owned(), self.columns[cidx].data.value_at(k)));
-            }
+            let lidx = self.row_layouts[r] as usize;
+            let fields = names[lidx]
+                .iter()
+                .zip(&self.layouts[lidx].cols)
+                .map(|(&name, &cidx)| {
+                    let k = cursors[cidx as usize];
+                    cursors[cidx as usize] += 1;
+                    (
+                        name.to_owned(),
+                        self.columns[cidx as usize].data.value_at(k),
+                    )
+                })
+                .collect();
             tuples.push(DataTuple {
                 id: self.ids[r],
                 ts_ns: self.ts[r],
@@ -419,7 +432,7 @@ impl ColumnBatch {
         n += 2 + self
             .columns
             .iter()
-            .map(|c| 2 + c.field.name().len())
+            .map(|c| 2 + c.field.name().len()) // per-batch: once per column
             .sum::<usize>();
         n += 2 + self.source_names.iter().map(|s| 2 + s.len()).sum::<usize>();
         n += self.rows * (8 + 8 + 2); // ids, ts, source idx
@@ -491,7 +504,7 @@ impl ColumnBatch {
         }
         buf.put_u16_le(dict.len() as u16);
         for fid in &dict {
-            put_str16(&mut buf, fid.name());
+            put_str16(&mut buf, fid.name()); // per-batch: once per distinct field
         }
 
         assert!(
@@ -944,6 +957,10 @@ pub struct BatchBuilder {
     column_index: HashMap<(FieldId, u8, usize), u32>,
     cur_sig: Vec<(FieldId, u8)>,
     cur_cols: Vec<u32>,
+    /// The previous row's layout for as long as the open row has matched
+    /// it position by position: shape is resolved per batch, and a row
+    /// that follows its predecessor hashes nothing.
+    follow: Option<u32>,
     in_row: bool,
 }
 
@@ -974,40 +991,58 @@ impl BatchBuilder {
         self.in_row = true;
         self.ids.push(id);
         self.ts.push(ts_ns);
-        let sidx = match self.source_index.get(source) {
-            Some(&i) => i,
-            None => {
-                let i = self.source_names.len() as u32;
-                self.source_names.push(source.to_owned());
-                self.source_index.insert(source.to_owned(), i);
-                i
-            }
+        let sidx = match self.sources.last() {
+            Some(&i) if self.source_names[i as usize] == source => i,
+            _ => match self.source_index.get(source) {
+                Some(&i) => i,
+                None => {
+                    let i = self.source_names.len() as u32;
+                    self.source_names.push(source.to_owned());
+                    self.source_index.insert(source.to_owned(), i);
+                    i
+                }
+            },
         };
         self.sources.push(sidx);
         self.cur_sig.clear();
         self.cur_cols.clear();
+        self.follow = self.row_layouts.last().copied();
     }
 
     fn column_for(&mut self, field: FieldId, tag: u8) -> usize {
-        // Occurrence = how many times this (field, tag) already appeared
-        // in the open row; duplicates land in distinct columns.
-        let occ = self
-            .cur_sig
-            .iter()
-            .filter(|&&(f, t)| f == field && t == tag)
-            .count();
-        let cidx = match self.column_index.get(&(field, tag, occ)) {
-            Some(&c) => c,
+        let pos = self.cur_sig.len();
+        let followed = self.follow.and_then(|l| {
+            let layout = &self.layouts[l as usize];
+            (layout.fields.get(pos) == Some(&(field, tag))).then(|| layout.cols[pos])
+        });
+        let cidx = match followed {
+            Some(c) => c,
             None => {
-                let c = self.columns.len() as u32;
-                self.columns.push(Column {
-                    field,
-                    tag,
-                    presence: Vec::new(),
-                    data: ColumnData::for_tag(tag),
-                });
-                self.column_index.insert((field, tag, occ), c);
-                c
+                // The row left its predecessor's layout (or has none):
+                // resolve this and every later position by hash.
+                self.follow = None;
+                // Occurrence = how many times this (field, tag) already
+                // appeared in the open row; duplicates land in distinct
+                // columns.
+                let occ = self
+                    .cur_sig
+                    .iter()
+                    .filter(|&&(f, t)| f == field && t == tag)
+                    .count();
+                match self.column_index.get(&(field, tag, occ)) {
+                    Some(&c) => c,
+                    None => {
+                        let c = self.columns.len() as u32;
+                        self.columns.push(Column {
+                            field,
+                            tag,
+                            presence: Vec::new(),
+                            data: ColumnData::for_tag(tag),
+                        });
+                        self.column_index.insert((field, tag, occ), c);
+                        c
+                    }
+                }
             }
         };
         self.cur_sig.push((field, tag));
@@ -1097,17 +1132,25 @@ impl BatchBuilder {
     pub fn end_row(&mut self) {
         assert!(self.in_row, "end_row without begin_row");
         self.in_row = false;
-        let lidx = match self.layout_index.get(&self.cur_sig) {
-            Some(&l) => l,
-            None => {
-                let l = self.layouts.len() as u32;
-                self.layouts.push(Layout {
-                    fields: self.cur_sig.clone(),
-                    cols: self.cur_cols.clone(),
-                });
-                self.layout_index.insert(self.cur_sig.clone(), l);
-                l
-            }
+        // A followed layout is this row's only if the row did not stop
+        // short of it.
+        let followed = self
+            .follow
+            .filter(|&l| self.layouts[l as usize].fields.len() == self.cur_sig.len());
+        let lidx = match followed {
+            Some(l) => l,
+            None => match self.layout_index.get(&self.cur_sig) {
+                Some(&l) => l,
+                None => {
+                    let l = self.layouts.len() as u32;
+                    self.layouts.push(Layout {
+                        fields: self.cur_sig.clone(),
+                        cols: self.cur_cols.clone(),
+                    });
+                    self.layout_index.insert(self.cur_sig.clone(), l);
+                    l
+                }
+            },
         };
         self.row_layouts.push(lidx);
         self.rows += 1;
@@ -1294,6 +1337,55 @@ mod tests {
         let mut frame = cols.encode();
         let back = ColumnBatch::decode(&mut frame).unwrap();
         assert_eq!(back.to_batch(), cols.to_batch());
+    }
+
+    #[test]
+    fn remembered_layout_builds_what_hashing_builds() {
+        let (a, b, c) = (
+            FieldId::intern("a"),
+            FieldId::intern("b"),
+            FieldId::intern("c"),
+        );
+        // Shapes that keep, cut, extend and bend one another: prefixes,
+        // a type change mid-row, a repeated name, an explicit null.
+        let shapes: [&[(FieldId, Value)]; 8] = [
+            &[],
+            &[(a, Value::U64(1))],
+            &[(a, Value::U64(2)), (b, Value::Str("x".into()))],
+            &[(a, Value::U64(3)), (b, Value::U64(4))],
+            &[(a, Value::U64(5)), (a, Value::U64(6))],
+            &[
+                (a, Value::U64(7)),
+                (b, Value::Str("y".into())),
+                (c, Value::Null),
+            ],
+            &[(b, Value::Str("z".into()))],
+            &[(a, Value::Str("w".into()))],
+        ];
+        // One builder per side, reused across every sequence: `finish`
+        // must leave nothing of the last batch's layouts behind.
+        let mut builders = [BatchBuilder::new(), BatchBuilder::new()];
+        let n = shapes.len();
+        for seq in 0..n.pow(4) {
+            let rows: Vec<usize> = (0..4).map(|i| seq / n.pow(i) % n).collect();
+            let [followed, hashed] = [false, true].map(|force_hash| {
+                let builder = &mut builders[usize::from(force_hash)];
+                for (r, &shape) in rows.iter().enumerate() {
+                    let source = if shape % 2 == 0 { "even" } else { "odd" };
+                    builder.begin_row(r as u64, r as u64, source);
+                    if force_hash {
+                        builder.follow = None;
+                    }
+                    for (fid, v) in shapes[shape] {
+                        builder.field(*fid, v);
+                    }
+                    builder.end_row();
+                }
+                builder.finish()
+            });
+            assert_eq!(followed, hashed, "rows {rows:?}");
+            assert_eq!(followed.encode(), hashed.encode(), "rows {rows:?}");
+        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! Interning is the cold path: parsers and bolts intern their field
 //! names once at startup and keep the `FieldId`s. The registry is a
-//! `RwLock` over an append-only table; the read lock is only taken when
-//! a *new* name is seen (conversion of foreign tuples) and never
-//! per-tuple. Names are leaked into `'static` storage on first intern so
-//! [`FieldId::name`] can return `&'static str` with no lock on the read
-//! side after the id is resolved.
+//! `RwLock` over an append-only table; the read lock is taken once per
+//! distinct name per batch (conversion of foreign tuples, and
+//! [`FieldId::name`] while a batch encodes or turns back into rows) and
+//! never per tuple. Names are leaked into `'static` storage on first
+//! intern, so a resolved `&'static str` outlives the lock.
 //!
 //! [`DataTuple`]: crate::DataTuple
 //!

@@ -12,10 +12,10 @@ use crate::parser::Parser;
 
 /// Extracts GET URLs from requests and status codes from responses.
 ///
-/// Field ids are interned once at construction and values (including
-/// the formatted peer IP) append straight into column arenas — a GET
-/// parses without a single per-packet heap allocation beyond the URL
-/// itself.
+/// Field ids are interned once at construction and values (the URL
+/// borrowed from the payload, the peer IP formatted on the stack) append
+/// straight into column arenas — a GET parses without a per-packet heap
+/// allocation.
 #[derive(Debug, Default)]
 pub struct HttpGetParser {
     f: Fields,
@@ -48,7 +48,7 @@ impl Parser for HttpGetParser {
             if req.method == http::Method::Get {
                 out.begin_row(id, packet.ts_ns, "http_get");
                 out.field_str(self.f.kind, "request");
-                out.field_str(self.f.url, &req.url);
+                out.field_str(self.f.url, req.url);
                 field_ip(out, self.f.dst_ip, flow.dst_ip);
                 out.field_u64(self.f.t_ns, packet.ts_ns);
                 out.end_row();

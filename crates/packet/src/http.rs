@@ -50,13 +50,13 @@ impl fmt::Display for Method {
     }
 }
 
-/// A parsed HTTP request line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestLine {
+/// A parsed HTTP request line, borrowing the payload it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestLine<'a> {
     /// Request method.
     pub method: Method,
     /// Request target (URL path).
-    pub url: String,
+    pub url: &'a str,
 }
 
 /// Builds the bytes of a minimal HTTP GET request for `url` on `host`.
@@ -94,8 +94,9 @@ pub fn build_response(status: u16, body: &[u8]) -> Vec<u8> {
 /// Parses an HTTP request line from the start of a TCP payload.
 ///
 /// Returns `None` for payloads that do not begin with a recognised method —
-/// the monitor must cheaply skip non-HTTP traffic, so this never errors.
-pub fn parse_request(payload: &[u8]) -> Option<RequestLine> {
+/// the monitor must cheaply skip non-HTTP traffic, so this never errors
+/// and never allocates.
+pub fn parse_request(payload: &[u8]) -> Option<RequestLine<'_>> {
     let line_end = payload
         .iter()
         .position(|&b| b == b'\r' || b == b'\n')
@@ -108,7 +109,7 @@ pub fn parse_request(payload: &[u8]) -> Option<RequestLine> {
     if !version.starts_with(b"HTTP/") || url_raw.is_empty() {
         return None;
     }
-    let url = std::str::from_utf8(url_raw).ok()?.to_owned();
+    let url = std::str::from_utf8(url_raw).ok()?;
     Some(RequestLine { method, url })
 }
 

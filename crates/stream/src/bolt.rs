@@ -1,6 +1,8 @@
 //! The bolt abstraction: one processing step in a topology.
 
-use netalytics_data::DataTuple;
+use std::borrow::Cow;
+
+use netalytics_data::{DataTuple, Value};
 
 /// A stream-processing element (Storm "bolt", paper §2.2).
 ///
@@ -78,14 +80,12 @@ impl Grouping {
                 *round_robin
             }
             Grouping::Fields(fields) => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                let mut h = FNV_OFFSET;
                 for f in fields {
                     if let Some(v) = tuple.get(f) {
-                        for b in v.to_string().bytes() {
-                            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-                        }
+                        h = fnv(h, key_str(v).as_bytes());
                     }
-                    h = (h ^ 0x7c).wrapping_mul(0x100_0000_01b3);
+                    h = fnv(h, b"|");
                 }
                 (h % n as u64) as usize
             }
@@ -93,6 +93,42 @@ impl Grouping {
             Grouping::Global => 0,
         }
     }
+}
+
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of `bytes`, continuing from `h`.
+pub(crate) fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A value as the string it is hashed, counted and ranked under:
+/// borrowed when it already is one, so keyed routing and the keyed bolts
+/// read a string key without copying it.
+pub(crate) fn key_str(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_string()), // cold path: non-string keys
+    }
+}
+
+/// Delivers `tuple` to every edge in order: cloned for each edge but
+/// the last, which takes ownership. Both engines fan out through here,
+/// so the copy count and the delivery order cannot drift apart.
+pub(crate) fn fan_out<E>(
+    edges: &[E],
+    tuple: DataTuple,
+    mut deliver: impl FnMut(usize, &E, DataTuple),
+) {
+    let Some((last, rest)) = edges.split_last() else {
+        return;
+    };
+    for (k, edge) in rest.iter().enumerate() {
+        deliver(k, edge, tuple.clone());
+    }
+    deliver(rest.len(), last, tuple);
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use netalytics_data::DataTuple;
 
-use crate::bolt::Bolt;
+use crate::bolt::{key_str, Bolt};
 
 /// Counts tuples per `key` over a tumbling window, emitting
 /// `(key, count)` tuples when the window closes on a tick.
@@ -52,7 +52,7 @@ impl RollingCountBolt {
 
 impl Bolt for RollingCountBolt {
     fn execute(&mut self, tuple: &DataTuple, out: &mut Vec<DataTuple>) {
-        let Some(key) = tuple.get("key").map(ToString::to_string) else {
+        let Some(key) = tuple.get("key").map(key_str) else {
             return;
         };
         let n = tuple
@@ -66,7 +66,12 @@ impl Bolt for RollingCountBolt {
         if tuple.ts_ns >= start + self.window_ns {
             self.release(tuple.ts_ns, out);
         }
-        *self.counts.entry(key).or_default() += n;
+        // The key is copied on first sight in a window only.
+        if let Some(count) = self.counts.get_mut(&*key) {
+            *count += n;
+        } else {
+            self.counts.insert(key.into_owned(), n);
+        }
     }
 
     fn tick(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {

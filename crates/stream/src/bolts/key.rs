@@ -4,9 +4,9 @@
 //! signature. Each of these bolts emit the signatures with a respective
 //! count of one to a Counting Bolt selected based on the signatures."
 
-use netalytics_data::{DataTuple, Value};
+use netalytics_data::DataTuple;
 
-use crate::bolt::Bolt;
+use crate::bolt::{fnv, key_str, Bolt, FNV_OFFSET};
 
 /// Lifts a named field into the canonical `key` field (plus a stable
 /// signature in the tuple ID) with a count of one.
@@ -24,27 +24,16 @@ impl KeyExtractBolt {
     }
 }
 
-fn signature(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 impl Bolt for KeyExtractBolt {
     fn execute(&mut self, tuple: &DataTuple, out: &mut Vec<DataTuple>) {
         let Some(v) = tuple.get(&self.from_field) else {
             return;
         };
-        let key = match v {
-            Value::Str(s) => s.clone(),
-            other => other.to_string(),
-        };
+        let key = key_str(v);
         out.push(
-            DataTuple::new(signature(&key), tuple.ts_ns)
+            DataTuple::new(fnv(FNV_OFFSET, key.as_bytes()), tuple.ts_ns)
                 .from_source("key_extract")
-                .with("key", key)
+                .with("key", key.into_owned())
                 .with("count", 1u64),
         );
     }
@@ -53,6 +42,7 @@ impl Bolt for KeyExtractBolt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netalytics_data::Value;
 
     #[test]
     fn extracts_and_signs() {

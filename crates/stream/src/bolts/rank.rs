@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use netalytics_data::{DataTuple, Value};
 
-use crate::bolt::Bolt;
+use crate::bolt::{key_str, Bolt};
 
 /// Maintains the k highest-count keys seen since the last tick and emits
 /// one `rank`ed tuple per retained key when ticked.
@@ -39,7 +39,7 @@ impl RankBolt {
 impl Bolt for RankBolt {
     fn execute(&mut self, tuple: &DataTuple, _out: &mut Vec<DataTuple>) {
         let (Some(key), Some(count)) = (
-            tuple.get("key").map(ToString::to_string),
+            tuple.get("key").map(key_str),
             tuple.get("count").and_then(Value::as_u64),
         ) else {
             return;
@@ -47,8 +47,11 @@ impl Bolt for RankBolt {
         // Merging partial counts from upstream rankers: take the max per
         // key (each upstream already aggregated its share; duplicates
         // from re-emission must not double count).
-        let e = self.counts.entry(key).or_default();
-        *e = (*e).max(count);
+        if let Some(seen) = self.counts.get_mut(&*key) {
+            *seen = (*seen).max(count);
+        } else {
+            self.counts.insert(key.into_owned(), count);
+        }
     }
 
     fn tick(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use netalytics_data::{DataTuple, TraceCtx, TupleBatch};
 use netalytics_telemetry::{wall_now_ns, Counter, Histogram, MetricsRegistry, Tracer};
 
-use crate::bolt::{Bolt, Grouping};
+use crate::bolt::{fan_out, Bolt, Grouping};
 use crate::executor::Executor;
 use crate::topology::{SourceRef, Topology};
 
@@ -136,47 +136,20 @@ impl InlineExecutor {
     /// Feeds one tuple from the spout through the whole DAG.
     pub fn push(&mut self, tuple: DataTuple) {
         self.processed.inc();
-        let mut work: VecDeque<(usize, DataTuple)> = VecDeque::new();
-        for (node, grouping) in &self.spout_edges.clone() {
-            self.enqueue(&mut work, *node, grouping, tuple.clone());
-        }
-        self.drain_work(work);
+        self.run_from_spout([tuple]);
     }
 
     /// Feeds a whole batch through the DAG in one call — the batch-first
     /// twin of [`InlineExecutor::push`]. Tuples are routed in order; with
     /// a single spout edge no tuple is cloned.
     pub fn push_batch(&mut self, batch: TupleBatch) {
-        let trace = if self.tracer.is_some() {
-            batch.trace
-        } else {
-            None
-        };
+        let trace = batch.trace.filter(|_| self.tracer.is_some());
         let bolt_start = trace.map(|_| wall_now_ns());
         if let Some(ctx) = trace {
             self.observe_trace_all(&ctx);
         }
         self.processed.add(batch.len() as u64);
-        let edges = self.spout_edges.clone();
-        let mut work: VecDeque<(usize, DataTuple)> = VecDeque::new();
-        match edges.as_slice() {
-            [] => {}
-            [(node, grouping)] => {
-                for t in batch {
-                    self.enqueue(&mut work, *node, grouping, t);
-                }
-            }
-            many => {
-                let (last, rest) = many.split_last().expect("non-empty edge list");
-                for t in batch {
-                    for (node, grouping) in rest {
-                        self.enqueue(&mut work, *node, grouping, t.clone());
-                    }
-                    self.enqueue(&mut work, last.0, &last.1, t);
-                }
-            }
-        }
-        self.drain_work(work);
+        self.run_from_spout(batch);
         if let (Some(ctx), Some(start), Some(tracer)) = (trace, bolt_start, &self.tracer) {
             tracer.record_span(
                 0,
@@ -188,6 +161,21 @@ impl InlineExecutor {
                 wall_now_ns(),
             );
         }
+    }
+
+    /// Routes spout tuples over every spout edge, then runs the DAG dry.
+    fn run_from_spout(&mut self, tuples: impl IntoIterator<Item = DataTuple>) {
+        let mut work = VecDeque::new();
+        // per-batch: the edge list moves out so `enqueue` can borrow
+        // `self`, then moves back.
+        let edges = std::mem::take(&mut self.spout_edges);
+        for t in tuples {
+            fan_out(&edges, t, |_, (node, grouping), t| {
+                self.enqueue(&mut work, *node, grouping, t);
+            });
+        }
+        self.spout_edges = edges;
+        self.drain_work(work);
     }
 
     /// Delivers a traced batch's context to every bolt instance before
@@ -214,19 +202,17 @@ impl InlineExecutor {
     fn phase(&mut self, now_ns: u64, finish: bool) {
         // Tick in node order (upstream nodes were defined first in all our
         // topologies), letting released tuples cascade within one phase.
+        let mut emitted = Vec::new();
         for idx in 0..self.nodes.len() {
-            let mut emitted = Vec::new();
-            for i in 0..self.nodes[idx].instances.len() {
-                let mut out = Vec::new();
+            for bolt in &mut self.nodes[idx].instances {
                 if finish {
-                    self.nodes[idx].instances[i].finish(now_ns, &mut out);
+                    bolt.finish(now_ns, &mut emitted);
                 } else {
-                    self.nodes[idx].instances[i].tick(now_ns, &mut out);
+                    bolt.tick(now_ns, &mut emitted);
                 }
-                emitted.append(&mut out);
             }
             let mut work = VecDeque::new();
-            self.route_emissions(&mut work, idx, emitted);
+            self.route_emissions(&mut work, idx, &mut emitted);
             self.drain_work(work);
         }
     }
@@ -246,43 +232,43 @@ impl InlineExecutor {
         work.push_back((node * MAX_PAR + inst, tuple));
     }
 
+    /// Routes one node's emissions, leaving `emitted` empty for reuse.
     fn route_emissions(
         &mut self,
         work: &mut VecDeque<(usize, DataTuple)>,
         node: usize,
-        emitted: Vec<DataTuple>,
+        emitted: &mut Vec<DataTuple>,
     ) {
         if self.nodes[node].terminal {
             self.emitted.add(emitted.len() as u64);
-            self.output.extend(emitted);
+            self.output.append(emitted);
             return;
         }
-        let edges = self.nodes[node].out_edges.clone();
-        for t in emitted {
-            for (target, grouping) in &edges {
-                self.enqueue(work, *target, grouping, t.clone());
-            }
+        // per-batch: the edge list moves out so `enqueue` can borrow
+        // `self`, then moves back.
+        let edges = std::mem::take(&mut self.nodes[node].out_edges);
+        for t in emitted.drain(..) {
+            fan_out(&edges, t, |_, (target, grouping), t| {
+                self.enqueue(work, *target, grouping, t);
+            });
         }
+        self.nodes[node].out_edges = edges;
     }
 
     fn drain_work(&mut self, mut work: VecDeque<(usize, DataTuple)>) {
+        let mut out = Vec::new();
         while let Some((slot, tuple)) = work.pop_front() {
             let (node, inst) = (slot / MAX_PAR, slot % MAX_PAR);
-            let mut out = Vec::new();
             let timed = self.node_latency[node].is_some() && {
                 self.lat_ticks = self.lat_ticks.wrapping_add(1);
                 self.lat_ticks.is_multiple_of(LAT_SAMPLE)
             };
-            if timed {
-                let t0 = std::time::Instant::now();
-                self.nodes[node].instances[inst].execute(&tuple, &mut out);
-                if let Some(h) = &self.node_latency[node] {
-                    h.record(t0.elapsed().as_nanos() as u64);
-                }
-            } else {
-                self.nodes[node].instances[inst].execute(&tuple, &mut out);
+            let t0 = timed.then(std::time::Instant::now);
+            self.nodes[node].instances[inst].execute(&tuple, &mut out);
+            if let (Some(t0), Some(h)) = (t0, &self.node_latency[node]) {
+                h.record(t0.elapsed().as_nanos() as u64);
             }
-            self.route_emissions(&mut work, node, out);
+            self.route_emissions(&mut work, node, &mut out);
         }
     }
 
@@ -472,7 +458,7 @@ mod tests {
         impl Bolt for Latch {
             fn execute(&mut self, _t: &DataTuple, _out: &mut Vec<DataTuple>) {}
             fn observe_trace(&mut self, ctx: &TraceCtx) {
-                *self.0.lock() = Some(*ctx);
+                *self.0.lock() = Some(*ctx); // cold path: test latch
             }
         }
 
@@ -494,7 +480,8 @@ mod tests {
             born_ns: 0,
         });
         exec.push_batch(batch);
-        assert_eq!(seen.lock().map(|c| c.cookie), Some(5));
+        let latched = seen.lock().map(|c| c.cookie); // cold path: test latch
+        assert_eq!(latched, Some(5));
         let falls = tracer.waterfalls(5);
         assert_eq!(falls.len(), 1);
         assert_eq!(falls[0].spans[0].stage, "bolt");

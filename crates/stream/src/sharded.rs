@@ -41,7 +41,7 @@ use netalytics_telemetry::{
     wall_now_ns, Counter, Histogram, MetricsRegistry, ShardedCounter, Tracer,
 };
 
-use crate::bolt::{Bolt, Grouping};
+use crate::bolt::{fan_out, Bolt, Grouping};
 use crate::executor::{BackpressurePolicy, Executor};
 use crate::topology::{BoltId, SourceRef, Topology};
 
@@ -296,17 +296,8 @@ impl Worker {
         // Borrow dance: the edge list moves out so routing can update
         // `rr` and `remote` freely, then moves back.
         let edges = std::mem::take(&mut self.out_edges[node]);
-        let last = edges.len() - 1;
         for t in out {
-            let mut t = Some(t);
-            for (k, (target, grouping)) in edges.iter().enumerate() {
-                // Clone for every edge but the last, which takes
-                // ownership.
-                let tuple = if k == last {
-                    t.take().expect("tuple consumed before last edge")
-                } else {
-                    t.as_ref().expect("tuple gone mid-fanout").clone()
-                };
+            fan_out(&edges, t, |k, (target, grouping), tuple| {
                 let inst = grouping.route(&tuple, self.par[*target], &mut self.rr[node][k]);
                 if inst % self.shards == self.shard {
                     work.push_back((*target as u32, inst as u32, tuple));
@@ -316,7 +307,7 @@ impl Worker {
                         .or_default()
                         .push(tuple);
                 }
-            }
+            });
         }
         self.out_edges[node] = edges;
     }
@@ -411,10 +402,8 @@ impl Worker {
         let mut work = VecDeque::new();
         for node in 0..self.bolts.len() {
             let mut emitted = Vec::new();
-            for slot in 0..self.bolts[node].len() {
-                let mut out = Vec::new();
-                self.bolts[node][slot].tick(now, &mut out);
-                emitted.append(&mut out);
+            for bolt in &mut self.bolts[node] {
+                bolt.tick(now, &mut emitted);
             }
             if !emitted.is_empty() {
                 self.dispatch(node, emitted, &mut work);
@@ -460,10 +449,8 @@ impl Worker {
             }
             let mut work = VecDeque::new();
             let mut emitted = Vec::new();
-            for slot in 0..self.bolts[node].len() {
-                let mut out = Vec::new();
-                self.bolts[node][slot].finish(now, &mut out);
-                emitted.append(&mut out);
+            for bolt in &mut self.bolts[node] {
+                bolt.finish(now, &mut emitted);
             }
             if !emitted.is_empty() {
                 self.dispatch(node, emitted, &mut work);
@@ -632,22 +619,15 @@ impl ShardedExecutor {
                 bolts[inst % shards][node_i].push((node.factory)());
             }
         }
-        let out_edges: Vec<Vec<(usize, Grouping)>> = (0..n)
-            .map(|i| {
-                topology
-                    .edges
-                    .iter()
-                    .filter(|e| e.from == SourceRef::Bolt(BoltId(i)))
-                    .map(|e| (e.to.0, e.grouping.clone()))
-                    .collect()
-            })
-            .collect();
-        let spout_edges: Vec<(usize, Grouping)> = topology
-            .edges
-            .iter()
-            .filter(|e| e.from == SourceRef::Spout)
-            .map(|e| (e.to.0, e.grouping.clone()))
-            .collect();
+        let edges_from = |from: SourceRef| -> Vec<(usize, Grouping)> {
+            topology
+                .edges
+                .iter()
+                .filter(|e| e.from == from)
+                .map(|e| (e.to.0, e.grouping.clone()))
+                .collect()
+        };
+        let spout_edges = edges_from(SourceRef::Spout);
 
         let (output_tx, output_rx) = unbounded::<DataTuple>();
         let mut workers = Vec::with_capacity(shards);
@@ -657,14 +637,17 @@ impl ShardedExecutor {
         for w in 0..shards {
             let incoming = incoming.next().expect("one consumer set per worker");
             let marker_level = vec![-1i64; incoming.len()];
+            let out_edges: Vec<_> = (0..n)
+                .map(|i| edges_from(SourceRef::Bolt(BoltId(i))))
+                .collect();
             let worker = Worker {
                 shard: w,
                 shards,
                 par: par.clone(),
                 bolts: bolts.next().expect("one instance set per worker"),
                 terminal: terminals.clone(),
-                out_edges: out_edges.clone(),
                 rr: out_edges.iter().map(|es| vec![0usize; es.len()]).collect(),
+                out_edges,
                 incoming,
                 marker_level,
                 peers: peer_tx.next().expect("one peer row per worker"),
@@ -784,24 +767,20 @@ impl Executor for ShardedExecutor {
             record_e2e(h, &batch.tuples);
         }
         let trace = batch.trace;
-        let mut tuples = batch.into_tuples();
         let edges = std::mem::take(&mut self.spout_edges);
-        let last = edges.len() - 1;
-        for (k, (node, grouping)) in edges.iter().enumerate() {
-            let mut slabs: Vec<Vec<DataTuple>> = (0..self.par[*node]).map(|_| Vec::new()).collect();
-            if k == last {
-                for t in std::mem::take(&mut tuples) {
-                    let i = grouping.route(&t, slabs.len(), &mut self.offer_rr[k]);
-                    slabs[i].push(t);
-                }
-            } else {
-                // Clone for every edge but the last, which takes
-                // ownership.
-                for t in &tuples {
-                    let i = grouping.route(t, slabs.len(), &mut self.offer_rr[k]);
-                    slabs[i].push(t.clone());
-                }
-            }
+        // One slab per (edge, instance), filled tuple by tuple and
+        // shipped edge by edge.
+        let mut slabs: Vec<Vec<Vec<DataTuple>>> = edges
+            .iter()
+            .map(|(node, _)| (0..self.par[*node]).map(|_| Vec::new()).collect())
+            .collect();
+        for t in batch {
+            fan_out(&edges, t, |k, (_, grouping), t| {
+                let i = grouping.route(&t, slabs[k].len(), &mut self.offer_rr[k]);
+                slabs[k][i].push(t);
+            });
+        }
+        for ((node, _), slabs) in edges.iter().zip(slabs) {
             for (inst, slab) in slabs.into_iter().enumerate() {
                 if slab.is_empty() {
                     continue;

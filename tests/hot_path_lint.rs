@@ -26,6 +26,11 @@
 //! nothing else: every binary the docs and CI name exists, every
 //! binary is documented, and none writes a file or times with an
 //! external harness — wall-clock verdicts belong to `e2ebench`.
+//!
+//! A sixth keeps row *shape* work off the per-row path: in the row
+//! converter, the executors and the keyed bolts, formatting a value,
+//! cloning an edge list and resolving a field name each carry the same
+//! `per-batch` / `cold path` justification a lock does.
 
 use std::fs;
 use std::path::Path;
@@ -44,6 +49,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/monitor/src/pipeline.rs",
     "crates/queue/src/cluster.rs",
     "crates/queue/src/writer.rs",
+    "crates/stream/src/bolt.rs",
+    "crates/stream/src/inline.rs",
     "crates/stream/src/sharded.rs",
     "crates/stream/src/spout.rs",
 ];
@@ -61,30 +68,41 @@ fn non_test_code(src: &str) -> &str {
     src.split("#[cfg(test)]").next().unwrap_or("")
 }
 
+/// Greps `src` (file `rel`) for `calls` outside comments; each hit
+/// needs a justification on its line or the line above. Returns how many
+/// hits were justified; the others land in `violations`.
+fn unjustified(rel: &str, src: &str, calls: &[&str], violations: &mut Vec<String>) -> usize {
+    let lines: Vec<&str> = src.lines().collect();
+    let mut annotated = 0usize;
+    for (i, line) in lines.iter().enumerate() {
+        if is_comment(line) || !calls.iter().any(|c| line.contains(c)) {
+            continue;
+        }
+        let prev = if i > 0 { lines[i - 1] } else { "" };
+        if JUSTIFICATIONS
+            .iter()
+            .any(|j| line.contains(j) || prev.contains(j))
+        {
+            annotated += 1;
+        } else {
+            violations.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+        }
+    }
+    annotated
+}
+
+fn read(root: &Path, rel: &str) -> String {
+    fs::read_to_string(root.join(rel))
+        .unwrap_or_else(|e| panic!("hot-path file {rel} must exist: {e}"))
+}
+
 #[test]
 fn hot_path_locks_are_per_batch_or_cold_only() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut violations = Vec::new();
     let mut annotated = 0usize;
     for rel in HOT_PATH_FILES {
-        let path = root.join(rel);
-        let src = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("hot-path file {rel} must exist: {e}"));
-        let lines: Vec<&str> = src.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            if is_comment(line) || !LOCK_CALLS.iter().any(|c| line.contains(c)) {
-                continue;
-            }
-            let prev = if i > 0 { lines[i - 1] } else { "" };
-            if JUSTIFICATIONS
-                .iter()
-                .any(|j| line.contains(j) || prev.contains(j))
-            {
-                annotated += 1;
-            } else {
-                violations.push(format!("{rel}:{}: {}", i + 1, line.trim()));
-            }
-        }
+        annotated += unjustified(rel, &read(root, rel), LOCK_CALLS, &mut violations);
     }
     assert!(
         violations.is_empty(),
@@ -98,6 +116,53 @@ fn hot_path_locks_are_per_batch_or_cold_only() {
         annotated >= 10,
         "expected the known annotated lock sites, found {annotated} — \
          did the hot-path file list go stale?"
+    );
+}
+
+/// Where rows are rebuilt, routed and folded per key: anything here
+/// that depends only on a row's shape belongs outside the row loop.
+const ROW_LOOP_FILES: &[&str] = &[
+    "crates/data/src/columns.rs",
+    "crates/stream/src/bolt.rs",
+    "crates/stream/src/bolts/count.rs",
+    "crates/stream/src/bolts/key.rs",
+    "crates/stream/src/bolts/rank.rs",
+    "crates/stream/src/inline.rs",
+    "crates/stream/src/sharded.rs",
+];
+
+/// Per-row costs that path has carried unnoticed: a value formatted into
+/// a fresh `String`, an edge list (with its field-name `Vec<String>`)
+/// cloned per emission, a schema lock per field name.
+const SHAPE_CALLS: &[&str] = &[
+    "to_string()",
+    "ToString::to_string",
+    "edges.clone()",
+    ".name()",
+];
+
+#[test]
+fn row_shape_work_is_per_batch_or_cold_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut violations = Vec::new();
+    let mut annotated = 0usize;
+    for rel in ROW_LOOP_FILES {
+        let src = read(root, rel);
+        annotated += unjustified(rel, non_test_code(&src), SHAPE_CALLS, &mut violations);
+    }
+    assert!(
+        violations.is_empty(),
+        "per-row shape work on the hot path — hoist it to once per batch \
+         (or per layout) and annotate `// per-batch`, or `// cold path` if \
+         the common row never reaches it:\n{}",
+        violations.join("\n")
+    );
+    // Vacuity guard: `to_batch`, `wire_size` and `encode` resolve names
+    // per batch and `key_str` formats non-string keys today.
+    assert!(
+        annotated >= 4,
+        "expected the known annotated sites, found {annotated} — did the \
+         row-loop file list go stale?"
     );
 }
 
