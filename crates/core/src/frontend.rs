@@ -565,14 +565,16 @@ fn drive<B: Backend>(
 
 fn kill_summary_json(cookie: u64, report: &QueryReport) -> String {
     let mut s = format!("{{\"cookie\":{cookie},\"state\":\"killed\",\"results\":[");
-    for (i, (name, set)) in report.results.iter().enumerate() {
+    for (i, ((name, set), drained)) in report.results.iter().zip(&report.drained).enumerate() {
         if i > 0 {
             s.push(',');
         }
+        // Everything the processor emitted: what the control pass
+        // drained while the query ran plus what the kill flushed.
         s.push_str(&format!(
             "{{\"processor\":\"{}\",\"tuples\":{}}}",
             json_escape(name),
-            set.tuples.len()
+            drained + set.tuples.len() as u64
         ));
     }
     s.push_str(&format!(

@@ -28,7 +28,7 @@ use netalytics_sdn::{FlowMatch, FlowRule, InstallMode, SdnController};
 use netalytics_sketch::PreAggSpec;
 use netalytics_store::{AggValue, HistoryAgg, HistoryQuery, ResultBackend, SeriesKey, StoreSink};
 use netalytics_stream::{
-    topologies, ExecutorMode, ProcessorSpec, Subscription, SubscriptionHub, SubscriptionSink,
+    topologies, ExecutorMode, Subscription, SubscriptionHub, SubscriptionSink,
 };
 use netalytics_telemetry::{
     EventKind, Introspection, Journal, MetricsRegistry, QueryDirectory, QueryInfo,
@@ -416,6 +416,12 @@ pub struct RunningQuery {
     /// Fan-out point for live result subscriptions.
     hub: Arc<SubscriptionHub>,
     executors: Vec<(String, SharedExecutor)>,
+    /// Rows per processor the control pass has already taken out of the
+    /// executors. `Some` only for a served query ([`Orchestrator::submit_with`]):
+    /// its results live in the store and on the hub, so nothing reads
+    /// them from the executor again. A library submit's executors keep
+    /// every row for the [`ResultSet`] that `kill` returns.
+    drained: Option<Vec<u64>>,
     monitors: Vec<MonitorSlot>,
     /// Handle to the aggregator.
     pub aggregator_handle: AggregatorHandle,
@@ -456,6 +462,23 @@ impl RunningQuery {
     /// performed for this query.
     pub fn replacements(&self) -> u32 {
         self.replacements
+    }
+
+    /// Served queries only: takes what the executors emitted since the
+    /// last control pass out of them, keeping the per-processor count,
+    /// so a long-lived query holds one pass's rows rather than all of
+    /// them. Returns the rows taken.
+    fn drain_outputs(&mut self) -> u64 {
+        let Some(drained) = &mut self.drained else {
+            return 0;
+        };
+        let mut rows = 0;
+        for (n, (_, exec)) in drained.iter_mut().zip(&self.executors) {
+            let polled = exec.borrow_mut().poll_output().len() as u64;
+            *n += polled;
+            rows += polled;
+        }
+        rows
     }
 }
 
@@ -582,32 +605,6 @@ struct DeploySpec<'a> {
     match_edges: &'a [(FlowMatch, u32)],
 }
 
-/// Derives the monitor-side pre-aggregation spec from a query's first
-/// sketch processor, mirroring the catalog's argument defaults so the
-/// monitors fold exactly what the topology would count.
-fn preagg_for(processors: &[ProcessorSpec]) -> Option<PreAggSpec> {
-    processors.iter().find_map(|spec| match spec.name.as_str() {
-        "heavy-hitters" => Some(PreAggSpec::HeavyHitters {
-            key_field: spec.arg("key").unwrap_or("url").to_owned(),
-            eps: spec
-                .arg("eps")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.001),
-        }),
-        "distinct" => Some(PreAggSpec::Distinct {
-            field: spec.arg("field").unwrap_or("url").to_owned(),
-            precision: spec
-                .arg("p")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(netalytics_sketch::DEFAULT_PRECISION),
-        }),
-        "quantile" => Some(PreAggSpec::Quantile {
-            value_field: spec.arg("value").unwrap_or("t_ns").to_owned(),
-        }),
-        _ => None,
-    })
-}
-
 /// What one [`Orchestrator::reconcile`] pass did.
 #[derive(Debug, Clone, Default)]
 pub struct ReconcileReport {
@@ -645,6 +642,11 @@ impl TickReport {
 pub struct QueryReport {
     /// One result set per `PROCESS` entry, keyed by processor name.
     pub results: Vec<(String, ResultSet)>,
+    /// Parallel to `results`: rows each processor emitted that the
+    /// control pass had already drained before the kill, so are not in
+    /// its result set. All zero unless the query was served through a
+    /// frontend, where the store and the hub hold the results.
+    pub drained: Vec<u64>,
     /// Final monitor traffic counters.
     pub monitor_stats: Vec<netalytics_monitor::MonitorStats>,
     /// Tuples into/processed/dropped at the aggregation layer.
@@ -1133,10 +1135,18 @@ impl Orchestrator {
         let cookie = self.next_cookie;
         let hub = Arc::new(SubscriptionHub::new());
         let mut executors = Vec::new();
+        // What the monitors pre-aggregate under: the catalog's own spec
+        // of the query's first sketch-backed processor.
+        let mut preagg = None;
         for spec in &deployment.processors {
-            let mut topo = topologies::build_with(spec, Some(&self.metrics)).map_err(|e| {
+            let bad_processor = |e: topologies::CatalogError| {
                 OrchestratorError::Compile(CompileError::BadProcessor(e.to_string()))
-            })?;
+            };
+            let mut topo =
+                topologies::build_with(spec, Some(&self.metrics)).map_err(bad_processor)?;
+            if self.monitor_preagg && preagg.is_none() {
+                preagg = topologies::sketch_spec(spec).map_err(bad_processor)?;
+            }
             if let Some(store) = &self.result_store {
                 let store = store.clone();
                 let group_field = spec
@@ -1199,11 +1209,6 @@ impl Orchestrator {
         let packet_limit = match deployment.limit {
             Limit::Packets(n) => Some(n),
             Limit::Time(_) => None,
-        };
-        let preagg = if self.monitor_preagg {
-            preagg_for(&deployment.processors)
-        } else {
-            None
         };
         let now = self.engine.now();
         let mut monitors = Vec::new();
@@ -1268,6 +1273,7 @@ impl Orchestrator {
             tenant: tenant.to_string(),
             hub: Arc::clone(&hub),
             executors,
+            drained: None,
             monitors,
             aggregator_handle,
             aggregator_host,
@@ -1352,7 +1358,9 @@ impl Orchestrator {
     }
 
     /// Submit as the frontends' mailbox carries it — plain or standing —
-    /// returning what crosses threads: the cookie and the live hub.
+    /// returning what crosses threads: the cookie and the live hub. The
+    /// caller holds no handle to read results from, so
+    /// [`Orchestrator::tick`] drains this query's executors every pass.
     pub(crate) fn submit_with(
         &mut self,
         tenant: &str,
@@ -1363,6 +1371,9 @@ impl Orchestrator {
             Some(cfg) => self.submit_standing_as(tenant, query_src, cfg),
             None => self.submit_as(tenant, query_src),
         }?;
+        let mut q = handle.inner.borrow_mut();
+        q.drained = Some(vec![0; q.executors.len()]);
+        drop(q);
         Ok((handle.cookie, handle.hub))
     }
 
@@ -1372,8 +1383,8 @@ impl Orchestrator {
         self.standing.get(&cookie).map(|st| st.derived.clone())
     }
 
-    /// Evaluates every due standing-query window. Called at the end of
-    /// each reconcile pass; watermark-driven and idempotent, so each
+    /// Evaluates every due standing-query window. Called once at the end
+    /// of each control pass; watermark-driven and idempotent, so each
     /// window is materialized exactly once no matter how many queries
     /// are reconciled per tick or how late a pass runs (bounded by
     /// [`STANDING_MAX_CATCHUP`]).
@@ -1562,16 +1573,36 @@ impl Orchestrator {
         if !self.registry.contains_key(&q.cookie) {
             return Ok(ReconcileReport::default());
         }
+        let report = self.repair(q)?;
+        self.housekeeping();
+        Ok(report)
+    }
+
+    /// The per-query half of a reconcile pass: detect and repair, then
+    /// publish the health verdict into the directory so
+    /// `/queries/{cookie}` reflects it without further engine access.
+    fn repair(&mut self, q: &QueryHandle) -> Result<ReconcileReport, OrchestratorError> {
         let report = {
             let mut inner = q.inner.borrow_mut();
             self.reconcile_inner(&mut inner)
         };
-        // Publish the post-pass health verdict into the directory so
-        // `/queries/{cookie}` reflects it without further engine access.
         let healthy = self.query_is_healthy(q);
         self.queries
             .set_health(q.cookie, healthy, self.engine.now().as_nanos());
         report
+    }
+
+    /// The per-pass half, run once however many queries were repaired:
+    /// let the results store enforce retention and fold expired segments
+    /// into rollups (compaction failures are not repair failures — the
+    /// store records them in its own stats — so they never abort the
+    /// control loop), then close and materialize the standing-query
+    /// windows that elapsed since the previous pass.
+    fn housekeeping(&mut self) {
+        if let Some(store) = &self.result_store {
+            let _ = store.compact(self.engine.now().as_nanos());
+        }
+        self.poll_standing();
     }
 
     fn reconcile_inner(
@@ -1788,16 +1819,6 @@ impl Orchestrator {
                 report.degraded = true;
             }
         }
-        // Housekeeping: let the results store enforce retention and
-        // fold expired segments into rollups. Compaction failures are
-        // not repair failures — the store records them in its own
-        // stats — so they never abort the control loop.
-        if let Some(store) = &self.result_store {
-            let _ = store.compact(now.as_nanos());
-        }
-        // Close and materialize any standing-query windows that elapsed
-        // since the previous pass.
-        self.poll_standing();
         Ok(report)
     }
 
@@ -1922,6 +1943,10 @@ impl Orchestrator {
             .collect();
         QueryReport {
             results,
+            drained: q
+                .drained
+                .take()
+                .unwrap_or_else(|| vec![0; q.executors.len()]),
             monitor_stats: q.monitors.iter().map(|s| s.handle.borrow().stats).collect(),
             aggregator: std::mem::take(&mut q.aggregator_handle.borrow_mut()),
         }
@@ -1941,27 +1966,38 @@ impl Orchestrator {
     /// [`crate::Cluster::tick`], a test): advance the emulation by
     /// `step`, then for every running query in ascending cookie order
     /// kill it if its LIMIT deadline passed `grace` ago (the grace lets
-    /// in-flight batches land), otherwise [`Orchestrator::reconcile`]
-    /// it (which also refreshes its directory health) and kill it if it
-    /// cannot be repaired rather than leave it zombied. With nothing
-    /// running this only advances the clock.
+    /// in-flight batches land), otherwise drain a served query's
+    /// executors (`stream.drained`), repair it as
+    /// [`Orchestrator::reconcile`] does (which also refreshes its
+    /// directory health) and kill it if it cannot be repaired rather
+    /// than leave it zombied; then, once for the pass, retention and
+    /// the standing windows. With nothing running this only advances
+    /// the clock.
     pub fn tick(&mut self, step: SimDuration, grace: SimDuration) -> TickReport {
         let target = self.engine.now() + step;
         self.engine.run_until(target);
         let mut report = TickReport::default();
-        for q in self.running_queries() {
+        let running = self.running_queries();
+        for q in &running {
             if q.deadline().is_some_and(|d| target >= d + grace) {
-                self.kill(&q);
+                self.kill(q);
                 report.deadline_kills += 1;
                 continue;
             }
-            match self.reconcile(&q) {
+            let drained = q.inner.borrow_mut().drain_outputs();
+            if drained > 0 {
+                self.metrics.counter("stream.drained", &[]).add(drained);
+            }
+            match self.repair(q) {
                 Ok(r) => report.replaced += r.replaced.len(),
                 Err(_) => {
-                    self.kill(&q);
+                    self.kill(q);
                     report.unrepairable_kills += 1;
                 }
             }
+        }
+        if !running.is_empty() {
+            self.housekeeping();
         }
         report
     }
@@ -2051,7 +2087,11 @@ impl Orchestrator {
 
 #[cfg(test)]
 mod tests {
-    use netalytics_store::TimeSeriesStore;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use netalytics_store::{
+        CompactionReport, HistoryAnswer, RollupPoint, StoreError, StoreStats, TimeSeriesStore,
+    };
 
     use super::*;
 
@@ -2073,6 +2113,109 @@ mod tests {
             tree.edge_of_host(q.monitor_hosts()[0]),
             tree.edge_of_host(1)
         );
+    }
+
+    /// An in-memory store that counts its `compact` calls (the store's
+    /// own `compactions` stat counts only passes that expired data).
+    #[derive(Debug)]
+    struct CountingStore {
+        inner: TimeSeriesStore,
+        compact_calls: AtomicU64,
+    }
+
+    impl ResultBackend for CountingStore {
+        fn append(&self, s: &SeriesKey, b: &TupleBatch) -> Result<(), StoreError> {
+            self.inner.append(s, b)
+        }
+        fn latest(&self, s: &SeriesKey) -> Option<DataTuple> {
+            self.inner.latest(s)
+        }
+        fn range(&self, s: &SeriesKey, t0: u64, t1: u64) -> Result<Vec<DataTuple>, StoreError> {
+            self.inner.range(s, t0, t1)
+        }
+        fn rollup(
+            &self,
+            s: &SeriesKey,
+            field: &str,
+            t0: u64,
+            t1: u64,
+            bucket_ns: u64,
+        ) -> Result<Vec<RollupPoint>, StoreError> {
+            self.inner.rollup(s, field, t0, t1, bucket_ns)
+        }
+        fn history(&self, q: &HistoryQuery) -> Result<HistoryAnswer, StoreError> {
+            self.inner.history(q)
+        }
+        fn query_history(&self, id: u64) -> Result<Vec<DataTuple>, StoreError> {
+            self.inner.query_history(id)
+        }
+        fn series(&self) -> Vec<SeriesKey> {
+            self.inner.series()
+        }
+        fn compact(&self, now_ns: u64) -> Result<CompactionReport, StoreError> {
+            self.compact_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.compact(now_ns)
+        }
+        fn native_bucket_ns(&self) -> u64 {
+            self.inner.native_bucket_ns()
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+        fn is_durable(&self) -> bool {
+            self.inner.is_durable()
+        }
+        fn attach_journal(&self, journal: Arc<Journal>) {
+            self.inner.attach_journal(journal)
+        }
+        fn register_metrics(&self, registry: &MetricsRegistry) {
+            self.inner.register_metrics(registry)
+        }
+        fn note_sink_flush(&self) {
+            self.inner.note_sink_flush()
+        }
+        fn note_append_error(&self) {
+            self.inner.note_append_error()
+        }
+        fn note_sink_skipped(&self, n: u64) {
+            self.inner.note_sink_skipped(n)
+        }
+    }
+
+    /// Retention and the standing windows are per-pass work: one
+    /// `tick` over eight running queries compacts once, where each
+    /// query's own `reconcile` still ends with its own housekeeping.
+    #[test]
+    fn tick_runs_housekeeping_once_per_pass_not_once_per_query() {
+        let store = Arc::new(CountingStore {
+            inner: TimeSeriesStore::in_memory(),
+            compact_calls: Default::default(),
+        });
+        let compact_calls = || store.compact_calls.load(Ordering::Relaxed);
+        let mut orch = Orchestrator::builder(8)
+            .result_store(Arc::clone(&store))
+            .build();
+        orch.name_host("web", 1);
+        let queries: Vec<QueryHandle> = (0..8)
+            .map(|_| {
+                orch.submit(
+                    "PARSE http_get FROM * TO web:80 LIMIT 60s SAMPLE * PROCESS (group-sum)",
+                )
+                .expect("fabric has room for eight")
+            })
+            .collect();
+        let step = SimDuration::from_millis(10);
+        orch.tick(step, step);
+        assert_eq!(orch.num_running(), 8);
+        assert_eq!(compact_calls(), 1, "one pass, one compaction");
+        orch.tick(step, step);
+        assert_eq!(compact_calls(), 2);
+        orch.reconcile(&queries[0]).expect("healthy");
+        assert_eq!(compact_calls(), 3, "reconcile keeps its own");
+        // With nothing running a pass only advances the clock.
+        orch.kill_all();
+        orch.tick(step, step);
+        assert_eq!(compact_calls(), 3);
     }
 
     #[test]

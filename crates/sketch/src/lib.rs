@@ -36,6 +36,8 @@ pub use quantile::QuantileSketch;
 pub use spacesaving::{SpaceSaving, SsEntry};
 pub use wire::SketchError;
 
+use std::borrow::Cow;
+
 use netalytics_data::{DataTuple, Value};
 
 /// `DataTuple::source` of every sketch-carrying tuple.
@@ -91,6 +93,23 @@ impl Sketch {
             Sketch::Distinct(s) => s.memory_bytes(),
             Sketch::Quantile(s) => s.memory_bytes(),
         }
+    }
+
+    /// Folds one field value in — the record rule every layer shares
+    /// (monitor [`PreAgg`], the stream layer's sketch bolt; the store's
+    /// history replay derives its keys from the same two functions).
+    /// Heavy hitters count [`value_key_str`], distinct/count sketches
+    /// hash [`value_key_bytes`], quantiles observe the value's numeric
+    /// form. `false` when the value is not recordable for this kind: a
+    /// null for any of them, a non-number for quantiles.
+    pub fn record(&mut self, v: &Value) -> bool {
+        match self {
+            Sketch::Cms(s) => value_key_bytes(v).map(|k| s.record(&k, 1)),
+            Sketch::HeavyHitters(s) => value_key_str(v).map(|k| s.record(&k, 1)),
+            Sketch::Distinct(s) => value_key_bytes(v).map(|k| s.record(&k)),
+            Sketch::Quantile(s) => v.as_f64().map(|x| s.record_f64(x)),
+        }
+        .is_some()
     }
 
     /// Merge another sketch of the same kind and dimensions.
@@ -173,18 +192,29 @@ impl Sketch {
     }
 }
 
-/// Canonical byte representation of a field value for hashing into
-/// distinct/count sketches — shared by the monitor pre-aggregation path
-/// and the sketch bolts' raw-tuple path, so both fold identically.
-pub fn value_key_bytes(v: &Value) -> Vec<u8> {
+/// The string a value is counted and ranked under by heavy-hitters
+/// sketches: a string as it is (borrowed), bytes as lossy UTF-8, any
+/// other value in its `Display` form (`true`, `404`, `1.5`). `None` for
+/// [`Value::Null`], which is never a key.
+pub fn value_key_str(v: &Value) -> Option<Cow<'_, str>> {
     match v {
-        Value::Str(s) => s.as_bytes().to_vec(),
-        Value::Bytes(b) => b.to_vec(),
-        Value::U64(n) => n.to_string().into_bytes(),
-        Value::I64(n) => n.to_string().into_bytes(),
-        Value::F64(f) => format!("{f}").into_bytes(),
-        Value::Bool(b) => vec![u8::from(*b)],
-        Value::Null => Vec::new(),
+        Value::Null => None,
+        Value::Str(s) => Some(Cow::Borrowed(s)),
+        Value::Bytes(b) => Some(String::from_utf8_lossy(b)),
+        other => Some(Cow::Owned(other.to_string())),
+    }
+}
+
+/// The bytes a value is hashed under by distinct/count sketches: string
+/// and bytes payloads raw, numbers in their `Display` form, a bool as
+/// one `0`/`1` byte. `None` for [`Value::Null`], which is never a key.
+pub fn value_key_bytes(v: &Value) -> Option<Cow<'_, [u8]>> {
+    match v {
+        Value::Null => None,
+        Value::Str(s) => Some(Cow::Borrowed(s.as_bytes())),
+        Value::Bytes(b) => Some(Cow::Borrowed(b)),
+        Value::Bool(b) => Some(Cow::Owned(vec![u8::from(*b)])),
+        other => Some(Cow::Owned(other.to_string().into_bytes())),
     }
 }
 
@@ -229,6 +259,54 @@ mod tests {
         // Ordinary tuples are not mistaken for sketches.
         let plain = DataTuple::new(1, 2).from_source("http");
         assert!(Sketch::from_tuple(&plain).is_none());
+    }
+
+    /// The one keying rule, over every `Value` variant.
+    #[test]
+    fn record_rule_over_every_value_variant() {
+        // (value, heavy-hitters key, distinct key, recordable as a number)
+        type Row = (Value, Option<&'static str>, Option<&'static [u8]>, bool);
+        let table: [Row; 8] = [
+            (Value::Null, None, None, false),
+            (Value::Bool(true), Some("true"), Some(&[1]), false),
+            (Value::Bool(false), Some("false"), Some(&[0]), false),
+            (Value::I64(-3), Some("-3"), Some(b"-3"), true),
+            (Value::U64(404), Some("404"), Some(b"404"), true),
+            (Value::F64(1.5), Some("1.5"), Some(b"1.5"), true),
+            (Value::from("/a"), Some("/a"), Some(b"/a"), false),
+            (
+                Value::from(vec![0x2f, 0xff]),
+                Some("/\u{fffd}"),
+                Some(&[0x2f, 0xff]),
+                false,
+            ),
+        ];
+        for (v, key, bytes, numeric) in &table {
+            assert_eq!(value_key_str(v).as_deref(), *key, "{v:?}");
+            assert_eq!(value_key_bytes(v).as_deref(), *bytes, "{v:?}");
+
+            let mut hh = Sketch::HeavyHitters(SpaceSaving::new(0.1));
+            assert_eq!(hh.record(v), key.is_some(), "{v:?}");
+            let Sketch::HeavyHitters(ss) = &hh else {
+                unreachable!()
+            };
+            let counted = key.and_then(|k| ss.estimate(k)).map(|e| e.count);
+            assert_eq!(counted, key.map(|_| 1), "{v:?}");
+            assert_eq!(ss.total(), u64::from(key.is_some()), "{v:?}");
+
+            let mut by_value = Sketch::Distinct(Hll::new(8));
+            assert_eq!(by_value.record(v), bytes.is_some(), "{v:?}");
+            let mut by_bytes = Hll::new(8);
+            bytes.iter().for_each(|b| by_bytes.record(b));
+            assert_eq!(by_value, Sketch::Distinct(by_bytes), "{v:?}");
+
+            let mut cms = Sketch::Cms(Cms::new(0.01, 0.01));
+            assert_eq!(cms.record(v), bytes.is_some(), "{v:?}");
+
+            let mut q = Sketch::Quantile(QuantileSketch::new());
+            assert_eq!(q.record(v), *numeric, "{v:?}");
+            assert_eq!(q.weight(), u64::from(*numeric), "{v:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use netalytics_data::{ColumnBatch, DataTuple, TupleBatch};
 
-use crate::{value_key_bytes, Hll, QuantileSketch, Sketch, SpaceSaving};
+use crate::{Hll, QuantileSketch, Sketch, SpaceSaving};
 
 /// Which sketch a monitor should fold tuples into, derived from the
 /// query's `PROCESS` operator by the orchestrator.
@@ -45,6 +45,15 @@ pub enum PreAggSpec {
 }
 
 impl PreAggSpec {
+    /// The tuple field whose values are folded.
+    pub fn field(&self) -> &str {
+        match self {
+            PreAggSpec::HeavyHitters { key_field: f, .. }
+            | PreAggSpec::Distinct { field: f, .. }
+            | PreAggSpec::Quantile { value_field: f } => f,
+        }
+    }
+
     /// A fresh, empty sketch of the right shape for this spec.
     pub fn fresh(&self) -> Sketch {
         match self {
@@ -125,34 +134,13 @@ impl PreAgg {
     }
 
     /// Tries to fold one row into the sketch; `false` when the row lacks
-    /// the field the spec needs.
+    /// the field the spec names or [`Sketch::record`] declines its value.
     fn offer(&mut self, t: &DataTuple) -> bool {
-        match (&self.spec, &mut self.sketch) {
-            (PreAggSpec::HeavyHitters { key_field, .. }, Sketch::HeavyHitters(ss)) => {
-                let Some(v) = t.get(key_field) else {
-                    return false;
-                };
-                match v.as_str() {
-                    Some(key) => ss.record(key, 1),
-                    None => ss.record(&String::from_utf8_lossy(&value_key_bytes(v)), 1),
-                }
-            }
-            (PreAggSpec::Distinct { field, .. }, Sketch::Distinct(hll)) => {
-                let Some(v) = t.get(field) else {
-                    return false;
-                };
-                hll.record(&value_key_bytes(v));
-            }
-            (PreAggSpec::Quantile { value_field }, Sketch::Quantile(q)) => {
-                let Some(v) = t.get(value_field).and_then(|v| v.as_f64()) else {
-                    return false;
-                };
-                q.record_f64(v);
-            }
-            _ => return false,
-        }
-        self.folded += 1;
-        true
+        let folded = t
+            .get(self.spec.field())
+            .is_some_and(|v| self.sketch.record(v));
+        self.folded += u64::from(folded);
+        folded
     }
 
     /// Takes the accumulated sketch as a shippable delta tuple and resets.

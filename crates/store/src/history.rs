@@ -22,7 +22,9 @@
 //! plain values rather than mergeable sketch snapshots.
 
 use netalytics_data::{DataTuple, Value};
-use netalytics_sketch::{value_key_bytes, Hll, Sketch, SpaceSaving, DEFAULT_PRECISION};
+use netalytics_sketch::{
+    value_key_bytes, value_key_str, Hll, Sketch, SpaceSaving, DEFAULT_PRECISION,
+};
 
 use crate::rollup::RollupPoint;
 use crate::scan::{fold_value, ScanCount};
@@ -427,13 +429,14 @@ impl TimeSeriesStore {
                 continue;
             };
             fold_value(&mut acc, v);
-            if q.agg.needs_sketch() && !matches!(v, Value::Bytes(_) | Value::Null) {
-                distinct.record(&value_key_bytes(v));
-                let key = match v {
-                    Value::Str(s) => s.clone(),
-                    other => other.to_string(),
-                };
-                hh.record(&key, 1);
+            // Keyed by the rule the live sketch processors record under
+            // (a null is no key); a bytes value is a sketch snapshot,
+            // which `fold_value` merged.
+            if q.agg.needs_sketch() && !matches!(v, Value::Bytes(_)) {
+                if let (Some(bytes), Some(key)) = (value_key_bytes(v), value_key_str(v)) {
+                    distinct.record(&bytes);
+                    hh.record(&key, 1);
+                }
             }
         }
         plan.segments_scanned = 1;

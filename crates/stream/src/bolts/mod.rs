@@ -32,5 +32,5 @@ pub use histogram::{CdfBolt, HistogramBolt};
 pub use join::RequestTimeJoinBolt;
 pub use key::KeyExtractBolt;
 pub use rank::RankBolt;
-pub use sketch::{DistinctBolt, HeavyHittersBolt, QuantileBolt, SketchCounters};
+pub use sketch::{SketchBolt, SketchCounters};
 pub use subscription::{Subscription, SubscriptionHub, SubscriptionSink, DEFAULT_SUBSCRIBER_DEPTH};

@@ -2,7 +2,7 @@
 //! parallel-reduction tree (Fig. 4), run over mergeable summaries
 //! instead of exact per-key state.
 //!
-//! Each processor is built from two roles of the same bolt:
+//! Every sketch processor is [`SketchBolt`] in two roles:
 //!
 //! * **local** (fields/shuffle-grouped, parallel): folds raw tuples into
 //!   a bounded sketch, absorbs pre-aggregated sketch deltas arriving
@@ -20,19 +20,23 @@
 use std::sync::Arc;
 
 use netalytics_data::{DataTuple, Value};
-use netalytics_sketch::{value_key_bytes, Hll, QuantileSketch, Sketch, SpaceSaving};
+use netalytics_sketch::{PreAggSpec, Sketch, FIELD_SKETCH};
 use netalytics_telemetry::{Counter, Gauge, MetricsRegistry};
 
 use crate::bolt::Bolt;
 
 /// Shared telemetry handles for one sketch processor: serialized bytes
-/// shipped, merges performed, and the observed-vs-bound error pair.
+/// shipped, deltas merged and rejected, and the observed-vs-bound error
+/// pair.
 #[derive(Debug, Clone)]
 pub struct SketchCounters {
     /// Serialized sketch bytes shipped downstream (`sketch.bytes`).
     pub bytes: Arc<Counter>,
     /// Sketch-into-sketch merges performed (`sketch.merges`).
     pub merges: Arc<Counter>,
+    /// Deltas not merged (`sketch.rejected`): another kind, other
+    /// dimensions, or bytes that do not decode.
+    pub rejected: Arc<Counter>,
     /// Guaranteed worst-case error of the final sketch (`ε·N`).
     pub error_bound: Arc<Gauge>,
     /// Largest error actually observed in the final sketch — compare
@@ -47,6 +51,7 @@ impl SketchCounters {
         SketchCounters {
             bytes: metrics.counter("sketch.bytes", &l),
             merges: metrics.counter("sketch.merges", &l),
+            rejected: metrics.counter("sketch.rejected", &l),
             error_bound: metrics.gauge("sketch.error_bound", &l),
             observed_error: metrics.gauge("sketch.observed_error", &l),
         }
@@ -60,7 +65,7 @@ enum Role {
     Global,
 }
 
-/// Event-time tumbling window shared by the sketch bolts — the same
+/// Event-time tumbling window of a [`SketchBolt`] — the same
 /// rotation rule as `RollingCountBolt`: rotate when event time crosses
 /// the boundary, or when the watermark (tick) passes it.
 #[derive(Debug)]
@@ -88,79 +93,100 @@ impl WindowTrack {
     }
 }
 
-/// Heavy hitters over a key field: SpaceSaving partials merged into a
-/// global top-k with per-key error bounds, in `O(1/ε)` memory.
+/// One sketch processor in one of its two roles. The [`PreAggSpec`]
+/// says which field folds into which sketch of which dimensions — the
+/// same description a monitor pre-aggregates under — and
+/// [`Sketch::record`] is the fold; the kind is matched on only to
+/// render the total reducer's answer rows.
 #[derive(Debug)]
-pub struct HeavyHittersBolt {
+pub struct SketchBolt {
     role: Role,
+    spec: PreAggSpec,
+    /// Rank rows a heavy-hitters answer carries.
     k: usize,
-    key_field: String,
-    sketch: SpaceSaving,
+    /// Quantiles a quantile answer reports, one row each.
+    qs: Vec<f64>,
+    sketch: Sketch,
+    /// Rows and deltas folded since the last release (an HLL does not
+    /// track a count, and an empty sketch must not emit).
+    folded: u64,
     window: WindowTrack,
     counters: Option<SketchCounters>,
 }
 
-impl HeavyHittersBolt {
-    /// The intermediate (parallel) ranker: folds raw tuples and monitor
+impl SketchBolt {
+    /// The intermediate (parallel) reducer: folds raw tuples and monitor
     /// deltas, ships one sketch delta per window.
-    pub fn local(k: usize, eps: f64, key_field: impl Into<String>, window_ns: u64) -> Self {
-        Self::new(Role::Local, k, eps, key_field, window_ns)
+    pub fn local(spec: PreAggSpec, window_ns: u64, counters: Option<SketchCounters>) -> Self {
+        Self::new(Role::Local, spec, 0, Vec::new(), window_ns, counters)
     }
 
-    /// The total (singleton) ranker: merges partials, emits the final
-    /// ranking plus a persistable sketch snapshot.
-    pub fn global(k: usize, eps: f64, key_field: impl Into<String>, window_ns: u64) -> Self {
-        Self::new(Role::Global, k, eps, key_field, window_ns)
+    /// The total (singleton) reducer: merges partials and on tick emits
+    /// the answer — the top `k` for heavy hitters, the estimate for
+    /// distinct, one row per `qs` entry for quantiles — plus a
+    /// persistable sketch snapshot.
+    pub fn global(
+        spec: PreAggSpec,
+        k: usize,
+        qs: Vec<f64>,
+        window_ns: u64,
+        counters: Option<SketchCounters>,
+    ) -> Self {
+        Self::new(Role::Global, spec, k, qs, window_ns, counters)
     }
 
-    fn new(role: Role, k: usize, eps: f64, key_field: impl Into<String>, window_ns: u64) -> Self {
-        assert!(k > 0, "k must be positive");
-        HeavyHittersBolt {
+    fn new(
+        role: Role,
+        spec: PreAggSpec,
+        k: usize,
+        qs: Vec<f64>,
+        window_ns: u64,
+        counters: Option<SketchCounters>,
+    ) -> Self {
+        SketchBolt {
             role,
+            sketch: spec.fresh(),
+            spec,
             k,
-            key_field: key_field.into(),
-            sketch: SpaceSaving::new(eps),
+            qs,
+            folded: 0,
             window: WindowTrack::new(window_ns),
-            counters: None,
+            counters,
         }
-    }
-
-    /// Attaches telemetry handles (builder style).
-    pub fn with_counters(mut self, counters: SketchCounters) -> Self {
-        self.counters = Some(counters);
-        self
     }
 
     fn release(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {
-        if self.sketch.is_empty() {
+        if self.folded == 0 {
             return;
         }
-        let capacity = self.sketch.capacity();
-        let full = std::mem::replace(&mut self.sketch, SpaceSaving::with_capacity(capacity));
-        match self.role {
-            Role::Local => {
-                let t = Sketch::HeavyHitters(full).into_tuple(now_ns, now_ns);
-                if let (Some(c), Some(b)) = (
-                    &self.counters,
-                    t.get(netalytics_sketch::FIELD_SKETCH)
-                        .and_then(Value::as_bytes),
-                ) {
-                    c.bytes.add(b.len() as u64);
-                }
-                out.push(t);
-            }
-            Role::Global => {
+        let full = std::mem::replace(&mut self.sketch, self.spec.fresh());
+        self.folded = 0;
+        if self.role == Role::Global {
+            self.answer(&full, now_ns, out);
+        }
+        let t = full.into_tuple(now_ns, now_ns);
+        if let (Role::Local, Some(c), Some(b)) = (
+            self.role,
+            &self.counters,
+            t.get(FIELD_SKETCH).and_then(Value::as_bytes),
+        ) {
+            c.bytes.add(b.len() as u64);
+        }
+        out.push(t);
+        self.window.rotate(now_ns);
+    }
+
+    /// The total reducer's answer rows for one released sketch.
+    fn answer(&self, full: &Sketch, now_ns: u64, out: &mut Vec<DataTuple>) {
+        match full {
+            Sketch::HeavyHitters(ss) => {
+                let top = ss.top(self.k);
                 if let Some(c) = &self.counters {
-                    c.error_bound.set(full.error_bound() as i64);
-                    let observed = full
-                        .top(self.k)
-                        .iter()
-                        .map(|(_, _, err)| *err)
-                        .max()
-                        .unwrap_or(0);
+                    c.error_bound.set(ss.error_bound() as i64);
+                    let observed = top.iter().map(|(_, _, err)| *err).max().unwrap_or(0);
                     c.observed_error.set(observed as i64);
                 }
-                for (rank, (key, count, err)) in full.top(self.k).into_iter().enumerate() {
+                for (rank, (key, count, err)) in top.into_iter().enumerate() {
                     out.push(
                         DataTuple::new(rank as u64, now_ns)
                             .from_source("rank")
@@ -171,38 +197,60 @@ impl HeavyHittersBolt {
                             .with("window_end", now_ns),
                     );
                 }
-                out.push(Sketch::HeavyHitters(full).into_tuple(now_ns, now_ns));
             }
+            Sketch::Distinct(hll) => {
+                let estimate = hll.estimate();
+                if let Some(c) = &self.counters {
+                    // Bound is relative for HLL: report ±rel_err·estimate.
+                    c.error_bound
+                        .set((hll.relative_error() * estimate).round() as i64);
+                }
+                out.push(
+                    DataTuple::new(0, now_ns)
+                        .from_source("distinct")
+                        .with("field", self.spec.field())
+                        .with("distinct", estimate.round() as u64)
+                        .with("window_end", now_ns),
+                );
+            }
+            Sketch::Quantile(q) => {
+                for &at in &self.qs {
+                    out.push(
+                        DataTuple::new(0, now_ns)
+                            .from_source("quantile")
+                            .with("q", at)
+                            .with("value", q.quantile(at))
+                            .with("n", q.count())
+                            .with("window_end", now_ns),
+                    );
+                }
+            }
+            Sketch::Cms(_) => {} // no spec builds one
         }
-        self.window.rotate(now_ns);
     }
 
     fn absorb(&mut self, tuple: &DataTuple) {
-        match Sketch::from_tuple(tuple) {
-            Some(Ok(Sketch::HeavyHitters(partial))) => {
-                if self.sketch.merge(&partial).is_ok() {
-                    if let Some(c) = &self.counters {
-                        c.merges.inc();
-                    }
+        let folded = match Sketch::from_tuple(tuple) {
+            // A delta from a monitor or an intermediate reducer. One of
+            // another kind or other dimensions, or bytes that do not
+            // decode, is not ours to fold: counted, never silently lost.
+            Some(partial) => {
+                let merged = partial.is_ok_and(|p| self.sketch.merge(&p).is_ok());
+                if let Some(c) = &self.counters {
+                    let counter = if merged { &c.merges } else { &c.rejected };
+                    counter.inc();
                 }
+                merged
             }
-            Some(_) => {} // foreign or corrupt sketch: not ours to fold
-            None => {
-                let Some(v) = tuple.get(&self.key_field) else {
-                    return;
-                };
-                match v.as_str() {
-                    Some(key) => self.sketch.record(key, 1),
-                    None => self
-                        .sketch
-                        .record(&String::from_utf8_lossy(&value_key_bytes(v)), 1),
-                }
-            }
-        }
+            None => tuple
+                .get(self.spec.field())
+                .is_some_and(|v| self.sketch.record(v)),
+        };
+        self.folded += u64::from(folded);
     }
 }
 
-impl Bolt for HeavyHittersBolt {
+impl Bolt for SketchBolt {
     fn execute(&mut self, tuple: &DataTuple, out: &mut Vec<DataTuple>) {
         if self.role == Role::Local && self.window.crossed(tuple.ts_ns) {
             self.release(tuple.ts_ns, out);
@@ -214,7 +262,7 @@ impl Bolt for HeavyHittersBolt {
         match self.role {
             // Window rotation on watermark, like the counting bolt.
             Role::Local => {
-                if !self.sketch.is_empty() && self.window.crossed(now_ns) {
+                if self.folded > 0 && self.window.crossed(now_ns) {
                     self.release(now_ns, out);
                 }
             }
@@ -228,257 +276,41 @@ impl Bolt for HeavyHittersBolt {
     }
 }
 
-/// Distinct-value counting over a field: HyperLogLog partials merged
-/// into one cardinality estimate in `O(2^p)` bytes.
-#[derive(Debug)]
-pub struct DistinctBolt {
-    role: Role,
-    field: String,
-    sketch: Hll,
-    /// Observations folded since the last release (HLL itself does not
-    /// track a count, and an all-zero HLL must not emit).
-    folded: u64,
-    window: WindowTrack,
-    counters: Option<SketchCounters>,
-}
-
-impl DistinctBolt {
-    /// The intermediate (parallel) estimator.
-    pub fn local(field: impl Into<String>, precision: u8, window_ns: u64) -> Self {
-        Self::new(Role::Local, field, precision, window_ns)
-    }
-
-    /// The total (singleton) estimator.
-    pub fn global(field: impl Into<String>, precision: u8, window_ns: u64) -> Self {
-        Self::new(Role::Global, field, precision, window_ns)
-    }
-
-    fn new(role: Role, field: impl Into<String>, precision: u8, window_ns: u64) -> Self {
-        DistinctBolt {
-            role,
-            field: field.into(),
-            sketch: Hll::new(precision),
-            folded: 0,
-            window: WindowTrack::new(window_ns),
-            counters: None,
-        }
-    }
-
-    /// Attaches telemetry handles (builder style).
-    pub fn with_counters(mut self, counters: SketchCounters) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
-    fn release(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {
-        if self.folded == 0 {
-            return;
-        }
-        let p = self.sketch.precision();
-        let full = std::mem::replace(&mut self.sketch, Hll::new(p));
-        self.folded = 0;
-        match self.role {
-            Role::Local => {
-                let t = Sketch::Distinct(full).into_tuple(now_ns, now_ns);
-                if let (Some(c), Some(b)) = (
-                    &self.counters,
-                    t.get(netalytics_sketch::FIELD_SKETCH)
-                        .and_then(Value::as_bytes),
-                ) {
-                    c.bytes.add(b.len() as u64);
-                }
-                out.push(t);
-            }
-            Role::Global => {
-                let estimate = full.estimate();
-                if let Some(c) = &self.counters {
-                    // Bound is relative for HLL: report ±rel_err·estimate.
-                    c.error_bound
-                        .set((full.relative_error() * estimate).round() as i64);
-                }
-                out.push(
-                    DataTuple::new(0, now_ns)
-                        .from_source("distinct")
-                        .with("field", self.field.clone())
-                        .with("distinct", estimate.round() as u64)
-                        .with("window_end", now_ns),
-                );
-                out.push(Sketch::Distinct(full).into_tuple(now_ns, now_ns));
-            }
-        }
-        self.window.rotate(now_ns);
-    }
-
-    fn absorb(&mut self, tuple: &DataTuple) {
-        match Sketch::from_tuple(tuple) {
-            Some(Ok(Sketch::Distinct(partial))) => {
-                if self.sketch.merge(&partial).is_ok() {
-                    self.folded += tuple
-                        .get(netalytics_sketch::FIELD_N)
-                        .and_then(Value::as_u64)
-                        .unwrap_or(1)
-                        .max(1);
-                    if let Some(c) = &self.counters {
-                        c.merges.inc();
-                    }
-                }
-            }
-            Some(_) => {}
-            None => {
-                if let Some(v) = tuple.get(&self.field) {
-                    self.sketch.record(&value_key_bytes(v));
-                    self.folded += 1;
-                }
-            }
-        }
-    }
-}
-
-impl Bolt for DistinctBolt {
-    fn execute(&mut self, tuple: &DataTuple, out: &mut Vec<DataTuple>) {
-        if self.role == Role::Local && self.window.crossed(tuple.ts_ns) {
-            self.release(tuple.ts_ns, out);
-        }
-        self.absorb(tuple);
-    }
-
-    fn tick(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {
-        match self.role {
-            Role::Local => {
-                if self.folded > 0 && self.window.crossed(now_ns) {
-                    self.release(now_ns, out);
-                }
-            }
-            Role::Global => self.release(now_ns, out),
-        }
-    }
-
-    fn finish(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {
-        self.release(now_ns, out);
-    }
-}
-
-/// Quantiles of a numeric field: log-bucketed partials (telemetry
-/// bucket layout) merged into per-quantile estimates, ≤ 12.5 % relative
-/// error in a fixed-size table.
-#[derive(Debug)]
-pub struct QuantileBolt {
-    role: Role,
-    value_field: String,
-    qs: Vec<f64>,
-    sketch: QuantileSketch,
-    window: WindowTrack,
-    counters: Option<SketchCounters>,
-}
-
-impl QuantileBolt {
-    /// The intermediate (parallel) summarizer.
-    pub fn local(value_field: impl Into<String>, qs: Vec<f64>, window_ns: u64) -> Self {
-        Self::new(Role::Local, value_field, qs, window_ns)
-    }
-
-    /// The total (singleton) summarizer.
-    pub fn global(value_field: impl Into<String>, qs: Vec<f64>, window_ns: u64) -> Self {
-        Self::new(Role::Global, value_field, qs, window_ns)
-    }
-
-    fn new(role: Role, value_field: impl Into<String>, qs: Vec<f64>, window_ns: u64) -> Self {
-        QuantileBolt {
-            role,
-            value_field: value_field.into(),
-            qs: if qs.is_empty() { vec![0.5] } else { qs },
-            sketch: QuantileSketch::new(),
-            window: WindowTrack::new(window_ns),
-            counters: None,
-        }
-    }
-
-    /// Attaches telemetry handles (builder style).
-    pub fn with_counters(mut self, counters: SketchCounters) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
-    fn release(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {
-        if self.sketch.count() == 0 {
-            return;
-        }
-        let full = std::mem::take(&mut self.sketch);
-        match self.role {
-            Role::Local => {
-                let t = Sketch::Quantile(full).into_tuple(now_ns, now_ns);
-                if let (Some(c), Some(b)) = (
-                    &self.counters,
-                    t.get(netalytics_sketch::FIELD_SKETCH)
-                        .and_then(Value::as_bytes),
-                ) {
-                    c.bytes.add(b.len() as u64);
-                }
-                out.push(t);
-            }
-            Role::Global => {
-                for &q in &self.qs {
-                    out.push(
-                        DataTuple::new(0, now_ns)
-                            .from_source("quantile")
-                            .with("q", q)
-                            .with("value", full.quantile(q))
-                            .with("n", full.count())
-                            .with("window_end", now_ns),
-                    );
-                }
-                out.push(Sketch::Quantile(full).into_tuple(now_ns, now_ns));
-            }
-        }
-        self.window.rotate(now_ns);
-    }
-
-    fn absorb(&mut self, tuple: &DataTuple) {
-        match Sketch::from_tuple(tuple) {
-            Some(Ok(Sketch::Quantile(partial))) => {
-                if self.sketch.merge(&partial).is_ok() {
-                    if let Some(c) = &self.counters {
-                        c.merges.inc();
-                    }
-                }
-            }
-            Some(_) => {}
-            None => {
-                if let Some(v) = tuple.get(&self.value_field).and_then(|v| v.as_f64()) {
-                    self.sketch.record_f64(v);
-                }
-            }
-        }
-    }
-}
-
-impl Bolt for QuantileBolt {
-    fn execute(&mut self, tuple: &DataTuple, out: &mut Vec<DataTuple>) {
-        if self.role == Role::Local && self.window.crossed(tuple.ts_ns) {
-            self.release(tuple.ts_ns, out);
-        }
-        self.absorb(tuple);
-    }
-
-    fn tick(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {
-        match self.role {
-            Role::Local => {
-                if self.sketch.count() > 0 && self.window.crossed(now_ns) {
-                    self.release(now_ns, out);
-                }
-            }
-            Role::Global => self.release(now_ns, out),
-        }
-    }
-
-    fn finish(&mut self, now_ns: u64, out: &mut Vec<DataTuple>) {
-        self.release(now_ns, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hh(window_ns: u64) -> [SketchBolt; 2] {
+        let spec = PreAggSpec::HeavyHitters {
+            key_field: "url".into(),
+            eps: 0.01,
+        };
+        [
+            SketchBolt::local(spec.clone(), window_ns, None),
+            SketchBolt::global(spec, 3, Vec::new(), window_ns, None),
+        ]
+    }
+
+    fn distinct(precision: u8, counters: Option<SketchCounters>) -> [SketchBolt; 2] {
+        let spec = PreAggSpec::Distinct {
+            field: "url".into(),
+            precision,
+        };
+        [
+            SketchBolt::local(spec.clone(), 1_000, counters.clone()),
+            SketchBolt::global(spec, 0, Vec::new(), 1_000, counters),
+        ]
+    }
+
+    fn quantile(qs: &[f64]) -> [SketchBolt; 2] {
+        let spec = PreAggSpec::Quantile {
+            value_field: "t_ns".into(),
+        };
+        [
+            SketchBolt::local(spec.clone(), 10_000, None),
+            SketchBolt::global(spec, 0, qs.to_vec(), 10_000, None),
+        ]
+    }
 
     fn url(u: &str, ts: u64) -> DataTuple {
         DataTuple::new(1, ts).with("url", u).with("t_ns", ts)
@@ -486,9 +318,8 @@ mod tests {
 
     #[test]
     fn heavy_hitters_local_to_global_reduction() {
-        let mut local_a = HeavyHittersBolt::local(3, 0.01, "url", 1_000_000);
-        let mut local_b = HeavyHittersBolt::local(3, 0.01, "url", 1_000_000);
-        let mut global = HeavyHittersBolt::global(3, 0.01, "url", 1_000_000);
+        let [mut local_a, mut global] = hh(1_000_000);
+        let [mut local_b, _] = hh(1_000_000);
         let mut partials = Vec::new();
         for _ in 0..5 {
             local_a.execute(&url("/hot", 10), &mut partials);
@@ -528,7 +359,7 @@ mod tests {
 
     #[test]
     fn heavy_hitters_ties_break_by_key() {
-        let mut global = HeavyHittersBolt::global(3, 0.01, "url", 1_000);
+        let [_, mut global] = hh(1_000);
         let mut out = Vec::new();
         for u in ["/z", "/a", "/m"] {
             global.execute(&url(u, 1), &mut out);
@@ -544,9 +375,8 @@ mod tests {
 
     #[test]
     fn distinct_counts_across_partials() {
-        let mut local_a = DistinctBolt::local("url", 12, 1_000);
-        let mut local_b = DistinctBolt::local("url", 12, 1_000);
-        let mut global = DistinctBolt::global("url", 12, 1_000);
+        let [mut local_a, mut global] = distinct(12, None);
+        let [mut local_b, _] = distinct(12, None);
         let mut partials = Vec::new();
         for i in 0..60 {
             local_a.execute(&url(&format!("/p{i}"), 1), &mut partials);
@@ -572,8 +402,7 @@ mod tests {
 
     #[test]
     fn quantile_bolt_merges_and_reports() {
-        let mut local = QuantileBolt::local("t_ns", vec![0.5, 0.95], 10_000);
-        let mut global = QuantileBolt::global("t_ns", vec![0.5, 0.95], 10_000);
+        let [mut local, mut global] = quantile(&[0.5, 0.95]);
         let mut partials = Vec::new();
         for v in 1..=100u64 {
             local.execute(&DataTuple::new(1, v).with("t_ns", v), &mut partials);
@@ -601,7 +430,7 @@ mod tests {
 
     #[test]
     fn local_rotates_on_event_time() {
-        let mut local = HeavyHittersBolt::local(3, 0.01, "url", 100);
+        let [mut local, _] = hh(100);
         let mut out = Vec::new();
         local.execute(&url("/a", 0), &mut out);
         local.execute(&url("/a", 150), &mut out); // crosses the boundary
@@ -613,9 +442,51 @@ mod tests {
     #[test]
     fn empty_bolts_emit_nothing() {
         let mut out = Vec::new();
-        HeavyHittersBolt::global(3, 0.01, "url", 1_000).finish(1, &mut out);
-        DistinctBolt::global("url", 12, 1_000).finish(1, &mut out);
-        QuantileBolt::global("t_ns", vec![0.5], 1_000).finish(1, &mut out);
+        for [mut local, mut global] in [hh(1_000), distinct(12, None), quantile(&[0.5])] {
+            local.finish(1, &mut out);
+            global.finish(1, &mut out);
+        }
         assert!(out.is_empty());
+    }
+
+    /// A delta that cannot be merged — other dimensions, or bytes that
+    /// do not decode — raises `sketch.rejected` by one and changes no
+    /// answer.
+    #[test]
+    fn rejected_deltas_are_counted_and_change_no_answer() {
+        let metrics = MetricsRegistry::new();
+        let counters = SketchCounters::register(&metrics, "distinct");
+        let answer = |deltas: &[DataTuple], global: &mut SketchBolt| {
+            let mut out = Vec::new();
+            deltas.iter().for_each(|d| global.execute(d, &mut out));
+            global.finish(20, &mut out);
+            out
+        };
+        let delta_of = |precision: u8, urls: std::ops::Range<u32>| {
+            let [mut local, _] = distinct(precision, None);
+            let mut out = Vec::new();
+            urls.for_each(|i| local.execute(&url(&format!("/p{i}"), 1), &mut out));
+            local.finish(10, &mut out);
+            out.pop().expect("one delta")
+        };
+        let good = delta_of(12, 0..40);
+        let [_, mut alone] = distinct(12, None);
+        let want = answer(std::slice::from_ref(&good), &mut alone);
+        assert_eq!(want.len(), 2, "the distinct row and the snapshot");
+
+        let narrow = delta_of(10, 100..140);
+        let mut truncated = good.clone();
+        let bytes = good.get(FIELD_SKETCH).and_then(Value::as_bytes).unwrap();
+        truncated.set(FIELD_SKETCH, bytes[..bytes.len() / 2].to_vec());
+
+        let [_, mut global] = distinct(12, Some(counters.clone()));
+        let got = answer(&[narrow, good, truncated], &mut global);
+        assert_eq!(got, want, "rejected deltas leave the answer alone");
+        assert_eq!((counters.merges.get(), counters.rejected.get()), (1, 2));
+
+        // Rejected deltas alone are nothing folded: nothing to release.
+        let [_, mut global] = distinct(12, Some(counters.clone()));
+        assert!(answer(&[delta_of(10, 0..5)], &mut global).is_empty());
+        assert_eq!(counters.rejected.get(), 3);
     }
 }

@@ -30,12 +30,13 @@ struct NodeRt {
 ///
 /// ```
 /// use netalytics_data::DataTuple;
-/// use netalytics_stream::{topologies, InlineExecutor};
+/// use netalytics_stream::topologies::{build, ProcessorSpec};
+/// use netalytics_stream::InlineExecutor;
 ///
-/// let topo = topologies::top_k(3, 1).unwrap();
+/// let topo = build(&ProcessorSpec::new("top-k").with_arg("k", "3")).unwrap();
 /// let mut exec = InlineExecutor::new(&topo);
 /// for (i, url) in ["/a", "/a", "/b"].iter().enumerate() {
-///     exec.push(DataTuple::new(i as u64, 0).with("key", *url));
+///     exec.push(DataTuple::new(i as u64, 0).with("url", *url));
 /// }
 /// exec.tick(10_000_000_000); // close the window
 /// let out = exec.take_output();

@@ -3,12 +3,13 @@
 
 use std::collections::HashMap;
 
+use netalytics_sketch::PreAggSpec;
 use netalytics_telemetry::MetricsRegistry;
 
 use crate::bolt::Grouping;
 use crate::bolts::{
-    AggBolt, AggOp, CdfBolt, DiffBolt, DistinctBolt, HeavyHittersBolt, HistogramBolt, JoinBolt,
-    KeyExtractBolt, QuantileBolt, RankBolt, RequestTimeJoinBolt, RollingCountBolt, SketchCounters,
+    AggBolt, AggOp, CdfBolt, DiffBolt, HistogramBolt, JoinBolt, KeyExtractBolt, RankBolt,
+    RequestTimeJoinBolt, RollingCountBolt, SketchBolt, SketchCounters,
 };
 use crate::topology::{SourceRef, Topology, TopologyError};
 
@@ -104,12 +105,25 @@ pub const CATALOG: [&str; 14] = [
     "quantile",
 ];
 
+type Args<'a> = HashMap<&'a str, &'a str>;
+
+fn args_of(spec: &ProcessorSpec) -> Args<'_> {
+    spec.args
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect()
+}
+
+fn bad(arg: &str, reason: impl Into<String>) -> CatalogError {
+    CatalogError::BadArgument {
+        arg: arg.into(),
+        reason: reason.into(),
+    }
+}
+
 /// Parses a duration argument like `10s`, `500ms`, `90` (seconds).
 fn parse_window(s: &str) -> Result<u64, CatalogError> {
-    let bad = |reason: &str| CatalogError::BadArgument {
-        arg: "w".into(),
-        reason: reason.into(),
-    };
+    let bad = |reason: &str| bad("w", reason);
     let (num, mult) = if let Some(x) = s.strip_suffix("ms") {
         (x, 1_000_000)
     } else if let Some(x) = s.strip_suffix('s') {
@@ -122,43 +136,6 @@ fn parse_window(s: &str) -> Result<u64, CatalogError> {
         return Err(bad("window must be positive"));
     }
     Ok(n * mult)
-}
-
-/// The paper's top-k topology (Fig. 4): key-extract ("Parsing Bolt") →
-/// rolling count ("Counting Bolt", fields-grouped) → intermediate rank →
-/// total rank (global).
-///
-/// # Errors
-///
-/// Returns [`CatalogError`] if `k` is zero.
-pub fn top_k(k: usize, parallelism: usize) -> Result<Topology, CatalogError> {
-    if k == 0 {
-        return Err(CatalogError::BadArgument {
-            arg: "k".into(),
-            reason: "k must be positive".into(),
-        });
-    }
-    let par = parallelism.max(1);
-    let mut b = Topology::builder("top-k");
-    let parse = b.add_bolt("parsing", par, move || Box::new(KeyExtractBolt::new("key")));
-    let count = b.add_bolt("counting", par, move || {
-        Box::new(RollingCountBolt::new(10_000_000_000))
-    });
-    let local = b.add_bolt("rank_local", par, move || Box::new(RankBolt::new(k)));
-    let global = b.add_bolt("rank_global", 1, move || Box::new(RankBolt::new(k)));
-    b.wire(SourceRef::Spout, parse, Grouping::Shuffle);
-    b.wire(
-        SourceRef::Bolt(parse),
-        count,
-        Grouping::Fields(vec!["key".into()]),
-    );
-    b.wire(
-        SourceRef::Bolt(count),
-        local,
-        Grouping::Fields(vec!["key".into()]),
-    );
-    b.wire(SourceRef::Bolt(local), global, Grouping::Global);
-    Ok(b.build()?)
 }
 
 /// Builds a topology from a query [`ProcessorSpec`].
@@ -196,8 +173,8 @@ pub fn build(spec: &ProcessorSpec) -> Result<Topology, CatalogError> {
 }
 
 /// [`build`] with an optional metrics registry: sketch processors
-/// register their `sketch.bytes` / `sketch.merges` / error instruments
-/// there (the orchestrator passes its root registry).
+/// register their `sketch.bytes` / `sketch.merges` / `sketch.rejected` /
+/// error instruments there (the orchestrator passes its root registry).
 ///
 /// # Errors
 ///
@@ -206,43 +183,19 @@ pub fn build_with(
     spec: &ProcessorSpec,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<Topology, CatalogError> {
-    let args: HashMap<&str, &str> = spec
-        .args
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
+    let args = args_of(spec);
     let group = args.get("group").copied().unwrap_or("dst_ip").to_owned();
     let value = args.get("value").copied().unwrap_or("t_ns").to_owned();
-    let par: usize = args
-        .get("par")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| CatalogError::BadArgument {
-            arg: "par".into(),
-            reason: "not a number".into(),
-        })?
-        .unwrap_or(1);
+    let par = parse_num::<usize>(&args, "par", 1)?;
+    if let Some(sketch) = sketch_spec(spec)? {
+        return build_sketch(spec, sketch, &args, par, metrics);
+    }
 
     match spec.name.as_str() {
         "top-k" => {
-            let k: usize = args
-                .get("k")
-                .map(|s| s.parse())
-                .transpose()
-                .map_err(|_| CatalogError::BadArgument {
-                    arg: "k".into(),
-                    reason: "not a number".into(),
-                })?
-                .unwrap_or(10);
-            let window = args.get("w").map(|s| parse_window(s)).transpose()?;
+            let k = positive_k(&args)?;
+            let window_ns = window_arg(&args)?;
             let key_field = args.get("key").copied().unwrap_or("url").to_owned();
-            if k == 0 {
-                return Err(CatalogError::BadArgument {
-                    arg: "k".into(),
-                    reason: "k must be positive".into(),
-                });
-            }
-            let window_ns = window.unwrap_or(10_000_000_000);
             let mut b = Topology::builder("top-k");
             let kf = key_field.clone();
             let parse = b.add_bolt("parsing", par, move || {
@@ -318,20 +271,9 @@ pub fn build_with(
             Ok(b.build()?)
         }
         "histogram" => {
-            let bucket: f64 = args
-                .get("bucket")
-                .map(|s| s.parse())
-                .transpose()
-                .map_err(|_| CatalogError::BadArgument {
-                    arg: "bucket".into(),
-                    reason: "not a number".into(),
-                })?
-                .unwrap_or(10.0);
+            let bucket = parse_num::<f64>(&args, "bucket", 10.0)?;
             if bucket <= 0.0 {
-                return Err(CatalogError::BadArgument {
-                    arg: "bucket".into(),
-                    reason: "must be positive".into(),
-                });
+                return Err(bad("bucket", "must be positive"));
             }
             let value = args.get("value").copied().unwrap_or("diff_ms").to_owned();
             let mut b = Topology::builder("histogram");
@@ -367,10 +309,7 @@ pub fn build_with(
                 .unwrap_or("tcp_conn_time")
                 .to_owned();
             if left == right {
-                return Err(CatalogError::BadArgument {
-                    arg: "right".into(),
-                    reason: "join sides must differ".into(),
-                });
+                return Err(bad("right", "join sides must differ"));
             }
             let mut b = Topology::builder("join");
             let (l, r) = (left.clone(), right.clone());
@@ -381,12 +320,8 @@ pub fn build_with(
             Ok(b.build()?)
         }
         "agg" => {
-            let op = AggOp::parse(args.get("op").copied().unwrap_or("avg")).map_err(|e| {
-                CatalogError::BadArgument {
-                    arg: "op".into(),
-                    reason: e.to_string(),
-                }
-            })?;
+            let op = AggOp::parse(args.get("op").copied().unwrap_or("avg"))
+                .map_err(|e| bad("op", e.to_string()))?;
             let mut b = Topology::builder("agg");
             let groups: Vec<String> = group.split('+').map(str::to_owned).collect();
             let v = value.clone();
@@ -396,150 +331,132 @@ pub fn build_with(
             b.wire(SourceRef::Spout, agg, Grouping::Global);
             Ok(b.build()?)
         }
+        other => Err(CatalogError::UnknownProcessor(other.to_owned())),
+    }
+}
+
+/// Which sketch a processor folds which field into — `None` for the
+/// processors that are not sketch-backed. The one place the sketch
+/// processors' names, field and dimension arguments, their defaults and
+/// their validation live: [`build_with`] builds the topology from it and
+/// the orchestrator hands the same spec to the monitors, so the two
+/// sides of a delta cannot disagree.
+///
+/// # Errors
+///
+/// [`CatalogError::BadArgument`] for an `eps` outside `(0, 1]` or a `p`
+/// outside `4..=16`.
+pub fn sketch_spec(spec: &ProcessorSpec) -> Result<Option<PreAggSpec>, CatalogError> {
+    let args = args_of(spec);
+    let field = |name: &str, default: &str| args.get(name).copied().unwrap_or(default).to_owned();
+    Ok(Some(match spec.name.as_str() {
         "heavy-hitters" => {
-            let k = parse_num::<usize>(&args, "k", 10)?;
-            if k == 0 {
-                return Err(CatalogError::BadArgument {
-                    arg: "k".into(),
-                    reason: "k must be positive".into(),
-                });
-            }
             let eps = parse_num::<f64>(&args, "eps", 0.001)?;
             if !(eps > 0.0 && eps <= 1.0) {
-                return Err(CatalogError::BadArgument {
-                    arg: "eps".into(),
-                    reason: "eps must be in (0, 1]".into(),
-                });
+                return Err(bad("eps", "eps must be in (0, 1]"));
             }
-            let window_ns = args
-                .get("w")
-                .map(|s| parse_window(s))
-                .transpose()?
-                .unwrap_or(10_000_000_000);
-            let key_field = args.get("key").copied().unwrap_or("url").to_owned();
-            let counters = metrics.map(|m| SketchCounters::register(m, "heavy-hitters"));
-            let mut b = Topology::builder("heavy-hitters");
-            let (kf, c) = (key_field.clone(), counters.clone());
-            let local = b.add_bolt("hh_local", par, move || {
-                let bolt = HeavyHittersBolt::local(k, eps, kf.clone(), window_ns);
-                Box::new(match &c {
-                    Some(c) => bolt.with_counters(c.clone()),
-                    None => bolt,
-                })
-            });
-            let (kf, c) = (key_field.clone(), counters);
-            let global = b.add_bolt("hh_global", 1, move || {
-                let bolt = HeavyHittersBolt::global(k, eps, kf.clone(), window_ns);
-                Box::new(match &c {
-                    Some(c) => bolt.with_counters(c.clone()),
-                    None => bolt,
-                })
-            });
-            // Fields-grouped like the Parsing→Counting edge (§5.3): each
-            // key is folded whole by one local instance, so local counts
-            // are exact and the global merge never splits a key.
-            b.wire(SourceRef::Spout, local, Grouping::Fields(vec![key_field]));
-            b.wire(SourceRef::Bolt(local), global, Grouping::Global);
-            Ok(b.build()?)
+            PreAggSpec::HeavyHitters {
+                key_field: field("key", "url"),
+                eps,
+            }
         }
         "distinct" => {
-            let field = args.get("field").copied().unwrap_or("url").to_owned();
-            let p = parse_num::<u8>(&args, "p", netalytics_sketch::DEFAULT_PRECISION)?;
-            if !(4..=16).contains(&p) {
-                return Err(CatalogError::BadArgument {
-                    arg: "p".into(),
-                    reason: "precision must be in 4..=16".into(),
-                });
+            let precision = parse_num::<u8>(&args, "p", netalytics_sketch::DEFAULT_PRECISION)?;
+            if !(4..=16).contains(&precision) {
+                return Err(bad("p", "precision must be in 4..=16"));
             }
-            let window_ns = args
-                .get("w")
-                .map(|s| parse_window(s))
-                .transpose()?
-                .unwrap_or(10_000_000_000);
-            let counters = metrics.map(|m| SketchCounters::register(m, "distinct"));
-            let mut b = Topology::builder("distinct");
-            let (f, c) = (field.clone(), counters.clone());
-            let local = b.add_bolt("distinct_local", par, move || {
-                let bolt = DistinctBolt::local(f.clone(), p, window_ns);
-                Box::new(match &c {
-                    Some(c) => bolt.with_counters(c.clone()),
-                    None => bolt,
-                })
-            });
-            let (f, c) = (field, counters);
-            let global = b.add_bolt("distinct_global", 1, move || {
-                let bolt = DistinctBolt::global(f.clone(), p, window_ns);
-                Box::new(match &c {
-                    Some(c) => bolt.with_counters(c.clone()),
-                    None => bolt,
-                })
-            });
-            // Registerwise-max merging makes shuffle routing safe.
-            b.wire(SourceRef::Spout, local, Grouping::Shuffle);
-            b.wire(SourceRef::Bolt(local), global, Grouping::Global);
-            Ok(b.build()?)
+            PreAggSpec::Distinct {
+                field: field("field", "url"),
+                precision,
+            }
         }
-        "quantile" => {
-            let qs: Vec<f64> = args
-                .get("q")
-                .copied()
-                .unwrap_or("0.5+0.95+0.99")
-                .split('+')
-                .map(|s| {
-                    s.parse::<f64>()
-                        .ok()
-                        .filter(|q| (0.0..=1.0).contains(q))
-                        .ok_or_else(|| CatalogError::BadArgument {
-                            arg: "q".into(),
-                            reason: format!("{s:?} is not a quantile in 0..=1"),
-                        })
-                })
-                .collect::<Result<_, _>>()?;
-            let window_ns = args
-                .get("w")
-                .map(|s| parse_window(s))
-                .transpose()?
-                .unwrap_or(10_000_000_000);
-            let counters = metrics.map(|m| SketchCounters::register(m, "quantile"));
-            let mut b = Topology::builder("quantile");
-            let (v, q, c) = (value.clone(), qs.clone(), counters.clone());
-            let local = b.add_bolt("quantile_local", par, move || {
-                let bolt = QuantileBolt::local(v.clone(), q.clone(), window_ns);
-                Box::new(match &c {
-                    Some(c) => bolt.with_counters(c.clone()),
-                    None => bolt,
-                })
-            });
-            let (v, q, c) = (value, qs, counters);
-            let global = b.add_bolt("quantile_global", 1, move || {
-                let bolt = QuantileBolt::global(v.clone(), q.clone(), window_ns);
-                Box::new(match &c {
-                    Some(c) => bolt.with_counters(c.clone()),
-                    None => bolt,
-                })
-            });
-            b.wire(SourceRef::Spout, local, Grouping::Shuffle);
-            b.wire(SourceRef::Bolt(local), global, Grouping::Global);
-            Ok(b.build()?)
+        "quantile" => PreAggSpec::Quantile {
+            value_field: field("value", "t_ns"),
+        },
+        _ => return Ok(None),
+    }))
+}
+
+/// The intermediate → total reduction tree (Fig. 4) over one sketch:
+/// `par` local [`SketchBolt`]s feeding one global.
+fn build_sketch(
+    spec: &ProcessorSpec,
+    sketch: PreAggSpec,
+    args: &Args<'_>,
+    par: usize,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<Topology, CatalogError> {
+    let (prefix, grouping, k, qs) = match &sketch {
+        // Fields-grouped like the Parsing→Counting edge (§5.3): each
+        // key is folded whole by one local instance, so local counts
+        // are exact and the global merge never splits a key.
+        PreAggSpec::HeavyHitters { key_field, .. } => (
+            "hh",
+            Grouping::Fields(vec![key_field.clone()]),
+            positive_k(args)?,
+            Vec::new(),
+        ),
+        // Registerwise-max merging makes shuffle routing safe.
+        PreAggSpec::Distinct { .. } => ("distinct", Grouping::Shuffle, 0, Vec::new()),
+        PreAggSpec::Quantile { .. } => {
+            let quantile = |s: &str| {
+                let q = s.parse::<f64>().ok().filter(|q| (0.0..=1.0).contains(q));
+                q.ok_or_else(|| bad("q", format!("{s:?} is not a quantile in 0..=1")))
+            };
+            let qs = args.get("q").copied().unwrap_or("0.5+0.95+0.99");
+            let qs = qs.split('+').map(quantile).collect::<Result<_, _>>()?;
+            ("quantile", Grouping::Shuffle, 0, qs)
         }
-        other => Err(CatalogError::UnknownProcessor(other.to_owned())),
+    };
+    let window_ns = window_arg(args)?;
+    let counters = metrics.map(|m| SketchCounters::register(m, &spec.name));
+    let mut b = Topology::builder(&spec.name);
+    let (s, c) = (sketch.clone(), counters.clone());
+    let local = b.add_bolt(format!("{prefix}_local"), par, move || {
+        Box::new(SketchBolt::local(s.clone(), window_ns, c.clone()))
+    });
+    let global = b.add_bolt(format!("{prefix}_global"), 1, move || {
+        Box::new(SketchBolt::global(
+            sketch.clone(),
+            k,
+            qs.clone(),
+            window_ns,
+            counters.clone(),
+        ))
+    });
+    b.wire(SourceRef::Spout, local, grouping);
+    b.wire(SourceRef::Bolt(local), global, Grouping::Global);
+    Ok(b.build()?)
+}
+
+/// The `w` argument, defaulting to ten seconds.
+fn window_arg(args: &Args<'_>) -> Result<u64, CatalogError> {
+    Ok(args
+        .get("w")
+        .map(|s| parse_window(s))
+        .transpose()?
+        .unwrap_or(10_000_000_000))
+}
+
+/// The `k` argument (default 10), which must be positive.
+fn positive_k(args: &Args<'_>) -> Result<usize, CatalogError> {
+    match parse_num::<usize>(args, "k", 10)? {
+        0 => Err(bad("k", "k must be positive")),
+        k => Ok(k),
     }
 }
 
 /// Parses a numeric argument with a default, mapping parse failures to
 /// a [`CatalogError::BadArgument`] naming the argument.
 fn parse_num<T: std::str::FromStr>(
-    args: &HashMap<&str, &str>,
+    args: &Args<'_>,
     name: &str,
     default: T,
 ) -> Result<T, CatalogError> {
     args.get(name)
         .map(|s| s.parse())
         .transpose()
-        .map_err(|_| CatalogError::BadArgument {
-            arg: name.into(),
-            reason: "not a number".into(),
-        })
+        .map_err(|_| bad(name, "not a number"))
         .map(|v| v.unwrap_or(default))
 }
 
@@ -576,6 +493,80 @@ mod tests {
         assert!(build(&ProcessorSpec::new("heavy-hitters").with_arg("eps", "2")).is_err());
         assert!(build(&ProcessorSpec::new("distinct").with_arg("p", "30")).is_err());
         assert!(build(&ProcessorSpec::new("quantile").with_arg("q", "0.5+nope")).is_err());
+    }
+
+    /// Every bad argument the catalog rejects is a `BadArgument` naming
+    /// that argument — pinned before the sketch arms were folded into
+    /// [`sketch_spec`] and every arm moved to `parse_num`.
+    #[test]
+    fn rejections_name_the_argument() {
+        let table = [
+            ("heavy-hitters", "eps", "7"),
+            ("heavy-hitters", "eps", "0"),
+            ("heavy-hitters", "eps", "tiny"),
+            ("heavy-hitters", "k", "0"),
+            ("heavy-hitters", "k", "-1"),
+            ("heavy-hitters", "w", "0"),
+            ("heavy-hitters", "par", "x"),
+            ("distinct", "p", "3"),
+            ("distinct", "p", "17"),
+            ("distinct", "p", "300"),
+            ("distinct", "w", "0ms"),
+            ("distinct", "par", "x"),
+            ("quantile", "q", "1.5"),
+            ("quantile", "q", "0.5+"),
+            ("quantile", "w", "soon"),
+            ("quantile", "par", "x"),
+            ("top-k", "k", "0"),
+            ("top-k", "k", "ten"),
+            ("top-k", "w", "0"),
+            ("top-k", "par", "x"),
+            ("histogram", "bucket", "-1"),
+            ("histogram", "bucket", "0"),
+            ("histogram", "bucket", "wide"),
+            ("histogram", "par", "x"),
+        ];
+        for (name, arg, value) in table {
+            let spec = ProcessorSpec::new(name).with_arg(arg, value);
+            match build(&spec) {
+                Err(CatalogError::BadArgument { arg: named, .. }) => {
+                    assert_eq!(named, arg, "{name}: {arg}={value}")
+                }
+                other => panic!("{name}: {arg}={value} gave {other:?}"),
+            }
+        }
+        // Arguments a processor does not read are not validated.
+        assert!(build(&ProcessorSpec::new("distinct").with_arg("k", "0")).is_ok());
+        assert!(build(&ProcessorSpec::new("quantile").with_arg("eps", "7")).is_ok());
+    }
+
+    /// The spec the monitors fold under is the one the topology was
+    /// built from: same defaults, same validation, nothing else parsed.
+    #[test]
+    fn sketch_spec_carries_the_catalog_defaults() {
+        let of = |spec: &ProcessorSpec| sketch_spec(spec).unwrap();
+        assert_eq!(
+            of(&ProcessorSpec::new("heavy-hitters")),
+            Some(PreAggSpec::HeavyHitters {
+                key_field: "url".into(),
+                eps: 0.001
+            })
+        );
+        assert_eq!(
+            of(&ProcessorSpec::new("distinct").with_arg("field", "src_ip")),
+            Some(PreAggSpec::Distinct {
+                field: "src_ip".into(),
+                precision: netalytics_sketch::DEFAULT_PRECISION
+            })
+        );
+        assert_eq!(
+            of(&ProcessorSpec::new("quantile")),
+            Some(PreAggSpec::Quantile {
+                value_field: "t_ns".into()
+            })
+        );
+        assert_eq!(of(&ProcessorSpec::new("top-k")), None);
+        assert!(sketch_spec(&ProcessorSpec::new("distinct").with_arg("p", "x")).is_err());
     }
 
     #[test]

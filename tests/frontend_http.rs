@@ -117,16 +117,18 @@ fn dechunk(raw: &str) -> String {
 }
 
 fn extract_cookie(descriptor: &str) -> u64 {
-    let idx = descriptor
-        .find("\"cookie\":")
-        .expect("descriptor has a cookie")
-        + 9;
-    descriptor[idx..]
+    number_after(descriptor, "\"cookie\":")
+}
+
+/// The first unsigned number after `key` in a JSON body.
+fn number_after(body: &str, key: &str) -> u64 {
+    let idx = body.find(key).unwrap_or_else(|| panic!("{key} in {body}")) + key.len();
+    body[idx..]
         .chars()
         .take_while(char::is_ascii_digit)
         .collect::<String>()
         .parse()
-        .expect("cookie digits")
+        .unwrap_or_else(|_| panic!("digits after {key} in {body}"))
 }
 
 /// A counter's value on `/metrics` (0 while the series does not exist).
@@ -298,13 +300,7 @@ fn lifecycle_on(backend: Backend) {
     let (status, history) = get(addr, &format!("/queries/{cookie}/results"));
     assert!(status.contains("200"), "{status}: {history}");
     assert!(history.contains("\"mode\":\"history\""), "{history}");
-    let count_idx = history.find("\"count\":").expect("count field") + 8;
-    let count: u64 = history[count_idx..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("count digits");
+    let count = number_after(&history, "\"count\":");
     assert!(count >= 1, "committed results replayed: {history}");
 
     // The journal saw the whole lifecycle over HTTP too.
@@ -358,6 +354,54 @@ fn frontend_lifecycle_reactive_plane() {
 #[test]
 fn frontend_lifecycle_cluster_backend() {
     lifecycle_on(Backend::Cluster);
+}
+
+/// Bounded memory on the served plane: nobody reads a served query's
+/// rows out of its executors (the store and the hub have them), so the
+/// control pass drains them — a standing query holds one pass's
+/// emissions, not its whole life's — and the kill summary still counts
+/// every row the processor emitted.
+#[test]
+fn frontend_served_query_rows_are_drained_every_pass() {
+    let builder = Orchestrator::builder(4).result_store(Arc::new(TimeSeriesStore::in_memory()));
+    let frontend = QueryFrontend::spawn("127.0.0.1:0", builder, deploy_web).expect("bind");
+    let addr = frontend.local_addr();
+    let (status, descriptor) = request(addr, "POST", "/queries", &[], QUERY);
+    assert!(status.contains("201"), "{status}: {descriptor}");
+    let cookie = extract_cookie(&descriptor);
+
+    // Let a hundred windows' worth of rank rows come out.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while counter(addr, "stream_emitted") < 300 {
+        assert!(std::time::Instant::now() < deadline, "query never emitted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Held = emitted − drained. The driver keeps ticking between the
+    // two reads, so `drained` is read first: the difference can only
+    // over-count, by the few windows (≤ 3 rows each, one per ten
+    // passes) that close in between.
+    let drained = counter(addr, "stream_drained");
+    let emitted = counter(addr, "stream_emitted");
+    assert!(
+        emitted >= 300 && drained > 0,
+        "{emitted} emitted, {drained} drained"
+    );
+    assert!(
+        emitted - drained <= 30,
+        "{} rows held by the executors after {emitted} emitted",
+        emitted - drained
+    );
+
+    let (status, summary) = request(addr, "DELETE", &format!("/queries/{cookie}"), &[], "");
+    assert!(status.contains("200"), "{status}: {summary}");
+    let (status, history) = get(addr, &format!("/queries/{cookie}/results"));
+    assert!(status.contains("200"), "{status}");
+    let (reported, stored) = (
+        number_after(&summary, "\"tuples\":"),
+        number_after(&history, "\"count\":"),
+    );
+    assert!(reported >= emitted, "{reported} reported, {emitted} seen");
+    assert_eq!(reported, stored, "the summary counts every stored row");
 }
 
 /// Result lines one `/stream?max=3` subscriber reads before the server

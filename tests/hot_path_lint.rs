@@ -31,6 +31,11 @@
 //! converter, the executors and the keyed bolts, formatting a value,
 //! cloning an edge list and resolving a field name each carry the same
 //! `per-batch` / `cold path` justification a lock does.
+//!
+//! A seventh keeps the sketch processors' names and defaults in the
+//! catalog alone: the control plane, the monitor and `PreAgg` name no
+//! sketch processor (they are handed a `PreAggSpec`), and neither the
+//! orchestrator's shadow default table nor a per-kind bolt comes back.
 
 use std::fs;
 use std::path::Path;
@@ -258,6 +263,58 @@ fn control_plane_has_one_driver_loop_and_no_shadow_registry() {
     assert!(
         revived.is_empty(),
         "{deleted} is back — serve a cluster through `QueryFrontend::spawn_cluster`:\n{}",
+        revived.join("\n")
+    );
+}
+
+#[test]
+fn sketch_processors_are_named_by_the_catalog_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let names = ["\"heavy-hitters\"", "\"distinct\"", "\"quantile\""];
+    let mut handed_a_spec = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut handed_a_spec);
+    rust_files(&root.join("crates/monitor/src"), &mut handed_a_spec);
+    handed_a_spec.push(root.join("crates/sketch/src/preagg.rs"));
+    assert!(
+        handed_a_spec.len() >= 20,
+        "expected the core and monitor sources, found {} — did a crate move?",
+        handed_a_spec.len()
+    );
+    let mut violations = Vec::new();
+    for path in &handed_a_spec {
+        let src = fs::read_to_string(path).expect("readable source");
+        for (i, line) in non_test_code(&src).lines().enumerate() {
+            if !is_comment(line) && names.iter().any(|n| line.contains(n)) {
+                violations.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "a sketch processor named outside the catalog — take the \
+         `PreAggSpec` from `topologies::sketch_spec` instead of re-parsing \
+         the processor's arguments:\n{}",
+        violations.join("\n")
+    );
+
+    // The shadow default table and the three per-kind bolts stay
+    // deleted, tests included (spelled in halves so this file passes).
+    let deleted = [
+        concat!("fn preagg", "_for"),
+        concat!("struct HeavyHitters", "Bolt"),
+        concat!("struct Distinct", "Bolt"),
+        concat!("struct Quantile", "Bolt"),
+    ];
+    let mut crates = Vec::new();
+    rust_files(&root.join("crates"), &mut crates);
+    let revived: Vec<String> = crates
+        .iter()
+        .filter(|p| fs::read_to_string(p).is_ok_and(|src| deleted.iter().any(|d| src.contains(d))))
+        .map(|p| p.display().to_string())
+        .collect();
+    assert!(
+        revived.is_empty(),
+        "one `SketchBolt` over a `PreAggSpec`, one `sketch_spec` — not:\n{}",
         revived.join("\n")
     );
 }

@@ -10,12 +10,15 @@ use netalytics::{Orchestrator, TimeSeriesStore};
 use netalytics_apps::{
     sample_sink, ClientApp, Conversation, StaticHttpBehavior, TierApp, ZipfKeys,
 };
-use netalytics_data::{DataTuple, Value};
+use netalytics_data::{ColumnBatch, DataTuple, Value};
 use netalytics_netsim::{SimDuration, SimTime};
 use netalytics_packet::http;
-use netalytics_sketch::{Sketch, SpaceSaving, SKETCH_SOURCE};
-use netalytics_stream::bolts::{HeavyHittersBolt, RankBolt};
-use netalytics_stream::{Bolt, ExecutorMode, ShardedConfig};
+use netalytics_sketch::{value_key_str, PreAgg, PreAggSpec, Sketch, SpaceSaving, SKETCH_SOURCE};
+use netalytics_store::{AggValue, HistoryAgg, HistoryQuery, SeriesKey};
+use netalytics_stream::bolts::{RankBolt, SketchBolt};
+use netalytics_stream::topologies::{build, sketch_spec, ProcessorSpec};
+use netalytics_stream::{build_executor, Bolt, ExecutorMode, ShardedConfig};
+use proptest::prelude::*;
 
 /// The SPSC-sharded engine with rings small enough that the workload
 /// actually exercises spill handling. It never self-ticks, so it is
@@ -159,8 +162,12 @@ fn heavy_hitters_recall_vs_exact_rank_bolt_on_zipf_stream() {
     // Approximate path: the same stream through four parallel local
     // sketch rankers reduced into the global one — the monitor/bolt
     // topology in miniature.
-    let mut locals: Vec<HeavyHittersBolt> = (0..4)
-        .map(|_| HeavyHittersBolt::local(K, 0.001, "url", 10_000_000_000))
+    let spec = PreAggSpec::HeavyHitters {
+        key_field: "url".into(),
+        eps: 0.001,
+    };
+    let mut locals: Vec<SketchBolt> = (0..4)
+        .map(|_| SketchBolt::local(spec.clone(), 10_000_000_000, None))
         .collect();
     let mut partials = Vec::new();
     for (i, k) in keys.iter().enumerate() {
@@ -172,7 +179,7 @@ fn heavy_hitters_recall_vs_exact_rank_bolt_on_zipf_stream() {
     for l in &mut locals {
         l.finish(100, &mut partials);
     }
-    let mut global = HeavyHittersBolt::global(K, 0.001, "url", 10_000_000_000);
+    let mut global = SketchBolt::global(spec, K, Vec::new(), 10_000_000_000, None);
     let mut final_out = Vec::new();
     for p in &partials {
         global.execute(p, &mut final_out);
@@ -306,4 +313,122 @@ fn distinct_and_quantile_queries_answer_end_to_end() {
         quantiles.iter().any(|(q, v)| *q == 0.5 && *v > 0),
         "p50 of connection time reported: {quantiles:?}"
     );
+}
+
+/// Keys and counts named by each layer that folds a `col` field into a
+/// heavy-hitters / distinct answer: `(top-8 ranking, distinct estimate)`.
+type Named = (Vec<(String, u64)>, Option<u64>);
+
+/// What the total reducer's answer rows name.
+fn named_by(answers: &[DataTuple]) -> Named {
+    let ranking = answers
+        .iter()
+        .filter(|t| t.source == "rank")
+        .map(|t| {
+            (
+                t.get("key").unwrap().to_string(),
+                t.get("count").and_then(Value::as_u64).unwrap(),
+            )
+        })
+        .collect();
+    let distinct = answers
+        .iter()
+        .find(|t| t.source == "distinct")
+        .map(|t| t.get("distinct").and_then(Value::as_u64).unwrap());
+    (ranking, distinct)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One keying rule, proven across layers: for a random column of
+    /// any one type — with explicit nulls and rows missing the field
+    /// mixed in — the catalog topology's final answer, the same rows
+    /// pre-aggregated by a monitor and merged by the total reducer, and
+    /// the store's `topk`/`distinct` history over the same rows name the
+    /// same keys with the same counts, and those are the exact counts
+    /// under `value_key_str`.
+    #[test]
+    fn every_layer_names_the_same_keys_with_the_same_counts(
+        kind in 0u8..5,
+        cells in proptest::collection::vec((0u8..8, 0u8..6), 1..120),
+    ) {
+        let rows: Vec<DataTuple> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &(shape, v))| {
+                let t = DataTuple::new(i as u64, i as u64).from_source("p");
+                match (shape, kind) {
+                    (0, _) => t,
+                    (1, _) => t.with("col", Value::Null),
+                    (_, 0) => t.with("col", format!("/k{v}")),
+                    (_, 1) => t.with("col", 400 + u64::from(v)),
+                    (_, 2) => t.with("col", i64::from(v) - 3),
+                    (_, 3) => t.with("col", f64::from(v) * 0.5),
+                    _ => t.with("col", v % 2 == 0),
+                }
+            })
+            .collect();
+        let mut exact: HashMap<String, u64> = HashMap::new();
+        for key in rows.iter().filter_map(|t| value_key_str(t.get("col")?)) {
+            *exact.entry(key.into_owned()).or_default() += 1;
+        }
+        let mut want: Vec<(String, u64)> = exact.into_iter().collect();
+        want.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+
+        let processors = [
+            ProcessorSpec::new("heavy-hitters").with_arg("k", "8").with_arg("eps", "0.01"),
+            ProcessorSpec::new("distinct").with_arg("field", "col"),
+        ]
+        .map(|p| p.with_arg("key", "col").with_arg("par", "2"));
+        let (mut live, mut preagg) = (Vec::new(), Vec::new());
+        for processor in &processors {
+            // The catalog topology over the raw rows.
+            let mut exec = build_executor(&build(processor).unwrap(), ExecutorMode::Inline);
+            exec.offer(rows.iter().cloned().collect());
+            live.extend(exec.stop(1_000));
+
+            // A monitor folding under the catalog's own spec, its delta
+            // (and the rows it does not cover) into the total reducer.
+            let spec = sketch_spec(processor).unwrap().expect("a sketch processor");
+            let batch = ColumnBatch::from_batch(&rows.iter().cloned().collect());
+            let shipped = PreAgg::new(spec.clone()).fold(batch, 500, true).batch;
+            let mut global = SketchBolt::global(spec, 8, Vec::new(), 1_000_000, None);
+            for t in &shipped.to_batch().tuples {
+                global.execute(t, &mut preagg);
+            }
+            global.finish(1_000, &mut preagg);
+        }
+
+        // The store replaying the same rows.
+        let store = TimeSeriesStore::in_memory();
+        let series = SeriesKey::new(7, "");
+        store.append(&series, &rows.iter().cloned().collect()).unwrap();
+        let history = |agg| {
+            let q = HistoryQuery::new(series.clone(), "col", 0, u64::MAX, agg);
+            store.history(&q).unwrap().value
+        };
+        let stored: Named = (
+            match history(HistoryAgg::HeavyHitters { k: 8 }) {
+                AggValue::TopK(top) => top,
+                AggValue::Empty => Vec::new(),
+                other => panic!("topk answered {other:?}"),
+            },
+            match history(HistoryAgg::Distinct) {
+                AggValue::Distinct(n) => Some(n),
+                AggValue::Empty => None,
+                other => panic!("distinct answered {other:?}"),
+            },
+        );
+
+        let live = named_by(&live);
+        prop_assert_eq!(&live.0, &want, "live ranking is exact");
+        prop_assert_eq!(live.1.is_some(), !want.is_empty());
+        if let Some(n) = live.1 {
+            // p = 12 over at most six keys: the estimate is the count.
+            prop_assert_eq!(n, want.len() as u64, "live distinct");
+        }
+        prop_assert_eq!(&named_by(&preagg), &live, "monitor deltas agree");
+        prop_assert_eq!(&stored, &live, "store history agrees");
+    }
 }
